@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .cyclic import (Bispectrum, CyclicFunction, KDeck, Spectrum, bispectrum,
                      bispectrum_from_deck, canonical_rotation, deck_equal,
-                     dft, dft_direct, equal_up_to_translation, k_deck,
+                     dft, equal_up_to_translation, k_deck,
                      three_deck_fft, translate)
 from .cyclotomic import (ClassificationError, StructureCase, ZeroPattern,
                          classify_zero_pattern, cyclotomic, periodicity,
@@ -18,8 +18,8 @@ from .determinacy import (AllKVerdict, CounterexamplePair, DeterminacyReport,
 from .errors import (BudgetError, DomainError, InconsistentBispectrumError,
                      InvalidExponentsError, ShapeMismatchError, TrideckError)
 from .intervals import (GapProfile, IntervalSet, gap_functional, gap_profile,
-                        has_lower_bounded_gaps, partial_x_deck,
-                        translate_equal_sets, triple_correlation_exact)
+                        partial_x_deck, translate_equal_sets,
+                        triple_correlation_exact)
 from .realline import (GridDeck, NormTestResult, SampledFunction,
                        StabilityReport, continuity_probe, cos_pair, deck_at,
                        indicator_stability_check, norm_inequality_test,

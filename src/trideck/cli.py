@@ -274,8 +274,6 @@ def _add_common(p):
     p.add_argument("--out", help="write the result JSON/CSV here")
     p.add_argument("--budget", type=int, default=None,
                    help="override the compute budget")
-    p.add_argument("--threads", type=int, default=1,
-                   help="cap internal parallelism (results are identical)")
 
 
 def _add_function_args(p):

@@ -7,16 +7,16 @@ The DFT here uses the *positive* exponent convention
 which is the opposite of the numpy/FFTW default.  All spectra and bispectra
 in this package follow this convention.
 
-Two numeric paths coexist: k_deck() is exact (rational arithmetic, with an
-int64 fast path after clearing denominators), while three_deck_fft() is the
-double-precision transform route.  The exact path is the oracle for the
-float path at small n.
+Two numeric paths coexist.  k_deck() is exact: it clears the denominators of
+the values, sums integer products (int64 when the entries cannot overflow,
+Python ints in an object array otherwise) and returns an integer tensor over
+one denominator in lowest terms.  three_deck_fft() is the double-precision
+transform route.  The exact path is the oracle for the float path at small n.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -120,54 +120,102 @@ class Spectrum:
 class KDeck:
     """N_f^k as a dense row-major tensor over (Z/nZ)^(k-1).
 
-    exact=True tensors hold Fraction entries (object dtype); float tensors
-    come from the transform route.
+    An exact deck holds integer entries (int64, or Python ints in an object
+    array when int64 could overflow) over one positive `denominator`, kept
+    in lowest terms: the gcd of all entries and the denominator is 1, so two
+    exact decks are equal exactly when their denominators and entries are.
+    A float deck (the transform route) has no denominator.
     """
 
     n: int
     k: int
     values: np.ndarray  # shape (n,)*(k-1)
-    exact: bool
+    denominator: Optional[int] = None
 
     def __post_init__(self):
         expected = (self.n,) * (self.k - 1)
         if self.values.shape != expected:
             raise ShapeMismatchError(
                 f"deck shape {self.values.shape} != {expected}")
+        if self.denominator is None:
+            return
+        if self.denominator < 1:
+            raise DomainError("deck denominator must be positive")
+        g = math.gcd(int(np.gcd.reduce(self.values, axis=None)),
+                     self.denominator)
+        if g > 1:
+            object.__setattr__(self, "values", self.values // g)
+            object.__setattr__(self, "denominator", self.denominator // g)
+
+    @property
+    def exact(self) -> bool:
+        return self.denominator is not None
 
     def as_floats(self) -> np.ndarray:
-        if self.exact:
-            return self.values.astype(np.float64)
-        return self.values
+        if not self.exact:
+            return self.values
+        v, d = self.values, self.denominator
+        if v.dtype != object and d < 2**53 and \
+                int(np.max(np.abs(v))) < 2**53:
+            return v / d  # both operands exact in float64: one rounding
+        return (v.astype(object) / d).astype(np.float64)  # int / int
+
+    def _entries(self) -> list:
+        """Flat entries as JSON scalars: an int or "p/q" per exact entry,
+        each in its own lowest terms, and a float per float entry."""
+        if not self.exact:
+            return self.values.reshape(-1).tolist()
+        v, d = self.values.reshape(-1), self.denominator
+        if v.dtype != object and d >= _INT64_SAFE:
+            v = v.astype(object)
+        g = np.gcd(v, d)
+        return [a if b == 1 else f"{a}/{b}"
+                for a, b in zip((v // g).tolist(), (d // g).tolist())]
 
     def to_json_dict(self) -> dict:
-        flat = self.values.reshape(-1)
-        if self.exact:
-            vals = [int(v) if v.denominator == 1 else str(v) for v in flat]
-        else:
-            vals = [float(v) for v in flat]
         return {"n": self.n, "k": self.k,
-                "convention": "positive-exponent", "values": vals}
+                "convention": "positive-exponent", "values": self._entries()}
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "KDeck":
-        n, k = int(d["n"]), int(d["k"])
-        raw = d["values"]
-        if any(isinstance(v, str) for v in raw) or all(
-                isinstance(v, int) for v in raw):
-            arr = np.empty(len(raw), dtype=object)
-            for i, v in enumerate(raw):
-                arr[i] = _as_fraction(v)
-            return cls(n, k, arr.reshape((n,) * (k - 1)), exact=True)
-        arr = np.asarray(raw, dtype=np.float64).reshape((n,) * (k - 1))
-        return cls(n, k, arr, exact=False)
+    def from_json_dict(cls, d) -> "KDeck":
+        """Exact when any value is a string or all are ints, else float.
+        Raises DomainError on a missing key, a wrong value count or a
+        non-finite or non-numeric value."""
+        if not isinstance(d, dict) or not {"n", "k", "values"} <= d.keys():
+            raise DomainError("a deck needs the keys n, k and values")
+        n, k, raw = d["n"], d["k"], d["values"]
+        if type(n) is not int or type(k) is not int or n < 1 \
+                or not 2 <= k <= MAX_DECK_ORDER:
+            raise DomainError(f"need integers n >= 1 and 2 <= k <= "
+                              f"{MAX_DECK_ORDER}, got n={n!r}, k={k!r}")
+        if not isinstance(raw, list) or len(raw) != n ** (k - 1):
+            raise DomainError(
+                f"a deck with n={n}, k={k} needs a list of {n ** (k - 1)} "
+                "values")
+        if not all(isinstance(v, (int, str))
+                   or isinstance(v, float) and math.isfinite(v)
+                   for v in raw):
+            raise DomainError(
+                "deck values must be finite numbers or rational strings")
+        shape = (n,) * (k - 1)
+        try:
+            if any(isinstance(v, str) for v in raw) or all(
+                    isinstance(v, int) for v in raw):
+                fr = [_as_fraction(v) for v in raw]
+                den = math.lcm(*(x.denominator for x in fr))
+                ints = [x.numerator * (den // x.denominator) for x in fr]
+                small = max(map(abs, ints)) < _INT64_SAFE
+                arr = np.array(ints, dtype=np.int64 if small else object)
+                return cls(n, k, arr.reshape(shape), den)
+            return cls(n, k, np.array(raw, dtype=np.float64).reshape(shape))
+        except (ValueError, ZeroDivisionError, OverflowError) as e:
+            raise DomainError(f"bad deck value: {e}") from None
 
     def to_csv(self) -> str:
         lines = [f"# n={self.n},k={self.k},convention=positive-exponent"]
-        flat = self.values.reshape(self.n ** max(self.k - 2, 0), -1)
-        for row in flat:
-            lines.append(",".join(str(v) if self.exact else repr(float(v))
-                                  for v in row))
+        flat = self._entries()
+        for i in range(0, len(flat), self.n):
+            lines.append(",".join(map(str, flat[i:i + self.n])))
         return "\n".join(lines) + "\n"
 
 
@@ -194,19 +242,6 @@ def dft(f: CyclicFunction) -> Spectrum:
     return Spectrum(f.n, np.fft.ifft(vals) * f.n)
 
 
-def dft_direct(f: CyclicFunction) -> Spectrum:
-    """Direct summation, kept independent of the FFT path for verification."""
-    n = f.n
-    out = np.zeros(n, dtype=np.complex128)
-    vals = f.as_floats()
-    for l in range(n):
-        acc = 0j
-        for j in range(n):
-            acc += vals[j] * np.exp(2j * np.pi * j * l / n)
-        out[l] = acc
-    return Spectrum(n, out)
-
-
 def _shift_matrix(n: int) -> np.ndarray:
     a = np.arange(n)
     return (a[:, None] + a[None, :]) % n  # [s, j] -> (j+s) % n
@@ -223,25 +258,12 @@ def _deck_int64(v: np.ndarray, n: int, k: int) -> np.ndarray:
     return np.einsum(sub, v, *([R] * (k - 1)))
 
 
-def _deck_object(v: Sequence[int], n: int, k: int) -> np.ndarray:
-    out = np.empty((n,) * (k - 1), dtype=object)
-    for js in itertools.product(range(n), repeat=k - 1):
-        acc = 0
-        for t in range(n):
-            term = v[t]
-            for ji in js:
-                term *= v[(t + ji) % n]
-            acc += term
-        out[js] = acc
-    return out
-
-
 def k_deck(f: CyclicFunction, k: int, budget: Optional[int] = None) -> KDeck:
     """Exact k-deck N_f^k(j_1..j_{k-1}) = sum_j f_j f_{j+j_1} ... f_{j+j_{k-1}}.
 
     The sum runs over all j in Z/nZ.  Denominators are cleared first so the
-    core sum is integer arithmetic (int64 when safe, arbitrary precision
-    otherwise).
+    core sum is integer arithmetic (int64 when safe, Python ints otherwise),
+    and the deck is that integer tensor over the denominator D^k.
     """
     if k < 2:
         raise DomainError(f"deck order must be >= 2, got {k}")
@@ -251,19 +273,11 @@ def k_deck(f: CyclicFunction, k: int, budget: Optional[int] = None) -> KDeck:
     if n**k > compute_budget(budget):
         raise BudgetError(f"k_deck size n^k = {n}^{k} exceeds budget")
     denom = math.lcm(*(v.denominator for v in f.values))
-    ints = [int(v * denom) for v in f.values]
+    ints = [v.numerator * (denom // v.denominator) for v in f.values]
     mx = max((abs(x) for x in ints), default=0)
-    if n * max(mx, 1) ** k < _INT64_SAFE:
-        raw = _deck_int64(np.asarray(ints, dtype=np.int64), n, k)
-        it = raw.reshape(-1).tolist()
-    else:
-        raw = _deck_object(ints, n, k)
-        it = raw.reshape(-1).tolist()
-    scale = Fraction(1, denom**k)
-    out = np.empty(n ** (k - 1), dtype=object)
-    for i, x in enumerate(it):
-        out[i] = x * scale
-    return KDeck(n, k, out.reshape((n,) * (k - 1)), exact=True)
+    dtype = np.int64 if n * max(mx, 1) ** k < _INT64_SAFE else object
+    raw = _deck_int64(np.array(ints, dtype=dtype), n, k)
+    return KDeck(n, k, raw, denom**k)
 
 
 def bispectrum(f: CyclicFunction) -> Bispectrum:
@@ -287,7 +301,7 @@ def three_deck_fft(f: CyclicFunction) -> KDeck:
     B = bispectrum(f).values
     n = f.n
     N = np.fft.fft2(B) / n**2
-    return KDeck(n, 3, np.real(N), exact=False)
+    return KDeck(n, 3, np.real(N))
 
 
 def translate(f: CyclicFunction, a: int) -> CyclicFunction:
@@ -315,8 +329,9 @@ def deck_equal(d1: KDeck, d2: KDeck, tol=0) -> bool:
             f"deck parameters differ: {(d1.n, d1.k)} != {(d2.n, d2.k)}")
     if tol < 0:
         raise DomainError("tolerance must be nonnegative")
-    if tol == 0 and d1.exact and d2.exact:
-        return bool(np.all(d1.values == d2.values))
+    if tol == 0 and d1.exact and d2.exact:  # both in lowest terms
+        return (d1.denominator == d2.denominator
+                and bool(np.array_equal(d1.values, d2.values)))
     diff = np.abs(d1.as_floats() - d2.as_floats())
     return bool(np.max(diff) <= tol) if diff.size else True
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import threading
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -19,7 +18,6 @@ from .errors import DomainError, TrideckError
 CYCLOTOMIC_CACHE_BOUND = 10**4
 
 _cache: dict[int, tuple[int, ...]] = {}
-_cache_lock = threading.Lock()
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +86,7 @@ def cyclotomic(m: int) -> tuple[int, ...]:
             if rem:
                 raise TrideckError(f"inexact cyclotomic division at m={m}")
     if m <= CYCLOTOMIC_CACHE_BOUND:
-        with _cache_lock:
-            _cache[m] = poly
+        _cache[m] = poly
     return poly
 
 

@@ -1,17 +1,15 @@
 """Exhaustive and statistical determinacy experiments on Z/nZ.
 
 Covers three kinds of evidence: exhaustive k-deck sweeps over all 0/1
-subsets (grouped by an exact deck fingerprint and split into translation
-orbits), the Grunbaum-Moore style pair of non-translate sets with equal
+subsets (quotiented by translation and grouped by their exact integer
+decks), the Grunbaum-Moore style pair of non-translate sets with equal
 3-decks, and a survey of how often indicator spectra vanish somewhere.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
-import time
 from fractions import Fraction
 from typing import Optional
 
@@ -72,38 +70,26 @@ def exhaustive_determinacy(n: int, k: int,
     if 2**n * n ** (k - 1) > compute_budget(budget):
         raise BudgetError(
             f"2^{n} * {n}^{k - 1} subsets*deck exceeds the compute budget")
-    t0 = time.monotonic()
 
     reps = sorted({_canonical_mask(m, n) for m in range(1 << n)})
-    by_print: dict[bytes, list[int]] = {}
+    # The key is the deck itself, so equal keys mean equal decks.  A 0/1
+    # deck has entries in [0, n], which the smallest unsigned type holding
+    # n stores exactly, and a 3-deck is symmetric, N(j1,j2) = N(j2,j1), so
+    # its upper triangle determines it.
+    key_type = np.min_scalar_type(n)
+    upper = np.triu_indices(n)
+    classes: dict[bytes, list[int]] = {}
     for mask in reps:
         v = np.array([mask >> j & 1 for j in range(n)], dtype=np.int64)
         deck = _deck_int64(v, n, k)
-        fp = hashlib.sha256(np.ascontiguousarray(deck).tobytes()).digest()
-        by_print.setdefault(fp, []).append(mask)
+        if k == 3:
+            deck = deck[upper]
+        classes.setdefault(deck.astype(key_type).tobytes(), []).append(mask)
 
-    ambiguous = []
-    for masks in by_print.values():
-        if len(masks) < 2:
-            continue
-        # re-verify exactly: a hash collision must not fuse distinct decks
-        subsets = [_mask_to_subset(m, n) for m in masks]
-        decks = [k_deck(CyclicFunction.indicator(n, s), k) for s in subsets]
-        groups: list[tuple[list[tuple[int, ...]], object]] = []
-        for s, d in zip(subsets, decks):
-            for members, ref in groups:
-                if deck_equal(ref, d):
-                    members.append(s)
-                    break
-            else:
-                groups.append(([s], d))
-        for members, _ in groups:
-            if len(members) >= 2:
-                ambiguous.append(tuple(sorted(members)))
-
-    stats = {"seconds": round(time.monotonic() - t0, 3),
-             "orbit_reps": len(reps), "deck_classes": len(by_print)}
-    return DeterminacyReport(n, k, 1 << n, tuple(sorted(ambiguous)), stats)
+    ambiguous = sorted(tuple(sorted(_mask_to_subset(m, n) for m in masks))
+                       for masks in classes.values() if len(masks) >= 2)
+    stats = {"orbit_reps": len(reps), "deck_classes": len(classes)}
+    return DeterminacyReport(n, k, 1 << n, tuple(ambiguous), stats)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -113,19 +113,16 @@ def gap_functional(E: IntervalSet, x, y) -> Fraction:
 
 
 def gap_profile(E: IntervalSet) -> GapProfile:
-    gaps = tuple(E.intervals[i + 1][0] - E.intervals[i][1]
-                 for i in range(len(E.intervals) - 1))
-    return GapProfile(min(gaps) if gaps else None, gaps)
-
-
-def has_lower_bounded_gaps(E: IntervalSet) -> GapProfile:
-    """Finite disjoint interval lists always qualify; exposes Gamma_E.
+    """Gamma_E and the gaps; finite disjoint interval lists always have
+    lower-bounded gaps.
 
     The criterion: points of E within distance eps = Gamma_E span a
     subinterval of E.  Malformed (adjacent/overlapping) lists are rejected
     at IntervalSet construction.
     """
-    return gap_profile(E)
+    gaps = tuple(E.intervals[i + 1][0] - E.intervals[i][1]
+                 for i in range(len(E.intervals) - 1))
+    return GapProfile(min(gaps) if gaps else None, gaps)
 
 
 def partial_x_deck(E: IntervalSet, x, y) -> int:

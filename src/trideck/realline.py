@@ -10,7 +10,7 @@ so refinement shows invariance in h rather than O(h) decay.
 from __future__ import annotations
 
 import dataclasses
-import struct
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -30,8 +30,11 @@ class SampledFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise DomainError("grid step must be positive")
+        if not (math.isfinite(self.h) and self.h > 0):
+            raise DomainError("grid step must be positive and finite")
+        if not (math.isfinite(self.origin)
+                and np.all(np.isfinite(self.values))):
+            raise DomainError("grid origin and samples must be finite")
         if np.any(self.values < 0):
             raise DomainError("sampled values must be nonnegative")
 
@@ -52,22 +55,6 @@ class SampledFunction:
         if len(vals) != int(n):
             raise DomainError(f"expected {n} samples, got {len(vals)}")
         return cls(float(h), float(origin), vals)
-
-    def save_binary(self, path: str) -> None:
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<ddq", self.h, self.origin,
-                                 len(self.values)))
-            fh.write(np.ascontiguousarray(self.values,
-                                          dtype="<f8").tobytes())
-
-    @classmethod
-    def load_binary(cls, path: str) -> "SampledFunction":
-        with open(path, "rb") as fh:
-            h, origin, n = struct.unpack("<ddq", fh.read(24))
-            vals = np.frombuffer(fh.read(), dtype="<f8")
-        if len(vals) != n:
-            raise DomainError(f"expected {n} samples, got {len(vals)}")
-        return cls(h, origin, vals.astype(np.float64))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -253,6 +240,8 @@ def indicator_stability_check(g: SampledFunction,
     l2sq = g.riemann(2)
     l3 = g.riemann(3)
     defect = l2sq - float(np.sqrt(l1 * l3))
+    if not math.isfinite(defect):  # finite only if every integral is
+        raise DomainError("the sample integrals overflow float64")
     ok = abs(l1 - l2sq) <= tol and abs(defect) <= tol
     return StabilityReport(l1, l2sq, l3, defect, ok)
 

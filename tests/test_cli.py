@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trideck.cli import (EXIT_BUDGET, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main)
 
@@ -64,6 +70,11 @@ class TestSubcommands:
         code, out, _ = run(capsys, "sweep", "--n", "7", "--k", "3")
         assert code == EXIT_OK
         assert json.loads(out)["ambiguous_classes"] == []
+
+    def test_sweep_byte_reproducible(self, capsys):
+        code, out1, _ = run(capsys, "sweep", "--n", "12")
+        assert code == EXIT_OK
+        assert run(capsys, "sweep", "--n", "12")[1] == out1
 
     def test_gm_and_allk(self, capsys):
         code, out, _ = run(capsys, "gm", "--p", "2", "--q", "3", "--r", "3")
@@ -139,3 +150,102 @@ class TestArtifacts:
         assert manifest["command"] == "deck"
         assert manifest["output_paths"] == [out_path]
         assert "trideck" in manifest["versions"]
+
+
+def _run_quiet(argv):
+    """main(argv) with stdout and stderr captured: (code, out, err)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestMalformedInput:
+    def test_deck_without_k(self, capsys, tmp_path):
+        p = tmp_path / "deck.json"
+        p.write_text(json.dumps({"n": 2, "values": [1, 2, 2, 1]}))
+        code, _, err = run(capsys, "reconstruct", "--deck", str(p))
+        assert code == EXIT_DOMAIN and "keys n, k and values" in err
+
+    def test_stability_rejects_nan(self, capsys, tmp_path):
+        p = tmp_path / "g.csv"
+        p.write_text("0.125,0.0,3\n1.0\nnan\n1.0\n")
+        code, out, err = run(capsys, "rline", "stability", "--in", str(p))
+        assert code == EXIT_DOMAIN and out == "" and "finite" in err
+
+
+_SCALARS = st.one_of(
+    st.integers(-3, 30), st.integers(-10**30, 10**30),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["1/2", "-3/4", "7", "1/0", "nan", "x", ""]),
+    st.none(), st.booleans(), st.lists(st.integers(0, 3), max_size=2))
+
+
+@st.composite
+def _deck_documents(draw):
+    """Deck JSON objects that are often nearly well formed: n^(k-1)
+    values, give or take one, with keys sometimes dropped or mistyped."""
+    n, k = draw(st.integers(-1, 6)), draw(st.integers(0, 4))
+    size = max(0, max(n, 0) ** max(k - 1, 0)
+               + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    entries = draw(st.sampled_from([st.integers(0, 20), st.floats(0, 100),
+                                    _SCALARS]))
+    values = draw(st.lists(entries, min_size=size, max_size=size))
+    doc = {"n": n, "k": k, "values": values, "convention": "positive-exponent"}
+    for key in draw(st.sets(st.sampled_from(sorted(doc)))):
+        if draw(st.booleans()):
+            del doc[key]
+        else:
+            doc[key] = draw(_SCALARS)
+    return doc
+
+
+@st.composite
+def _sample_csvs(draw):
+    """Sample CSV texts: a header h,origin,count and one value per line."""
+    values = draw(st.lists(st.one_of(
+        st.floats(min_value=0), st.floats(),
+        st.sampled_from(["nan", "-inf", "x", "", "1,2"])), max_size=12))
+    count = len(values) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    h = draw(st.one_of(st.sampled_from([0.125, 1.0]), st.floats()))
+    header = draw(st.sampled_from([f"{h!r},0.0,{count}", f"{h!r},{count}",
+                                   "", "h,origin,n"]))
+    return "\n".join([header] + [str(v) for v in values]) + "\n"
+
+
+class TestLoaderFuzz:
+    """Whatever a file holds, the CLI answers with a documented exit code,
+    never a traceback, and on success with standard JSON."""
+
+    @staticmethod
+    def _check(argv):
+        code, out, err = _run_quiet(argv)
+        assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_BUDGET, EXIT_USAGE)
+        assert "Traceback" not in err
+        if code == EXIT_OK:
+            _strict_json(out)
+
+    @given(st.one_of(_deck_documents(), st.text(max_size=40)))
+    @settings(max_examples=150, deadline=None)
+    def test_reconstruct_deck(self, doc):
+        text = doc if isinstance(doc, str) else json.dumps(doc)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "deck.json")
+            with open(path, "w") as fh:
+                fh.write(text)
+            self._check(["reconstruct", "--deck", path])
+
+    @given(_sample_csvs())
+    @settings(max_examples=150, deadline=None)
+    def test_rline_stability(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "g.csv")
+            with open(path, "w") as fh:
+                fh.write(text)
+            self._check(["rline", "stability", "--in", path])

@@ -41,6 +41,17 @@ class TestCyclicFunction:
         assert d.values[(0,) * 2] == 27
 
 
+def dft_direct(f):
+    """Direct summation, independent of the FFT path: the DFT oracle."""
+    n = f.n
+    vals = f.as_floats()
+    out = np.zeros(n, dtype=np.complex128)
+    for l in range(n):
+        for j in range(n):
+            out[l] += vals[j] * np.exp(2j * np.pi * j * l / n)
+    return out
+
+
 class TestDft:
     def test_positive_exponent_convention(self):
         # fhat(1) of delta_1 on Z/4Z must be +i, not -i
@@ -50,7 +61,7 @@ class TestDft:
     @given(small_functions(max_n=8))
     @settings(max_examples=50, deadline=None)
     def test_fft_matches_direct_summation(self, f):
-        fast, slow = td.dft(f).values, td.dft_direct(f).values
+        fast, slow = td.dft(f).values, dft_direct(f)
         assert np.max(np.abs(fast - slow)) < 1e-9 * (1 + np.max(np.abs(slow)))
 
 
@@ -81,14 +92,55 @@ class TestKDeck:
         # huge values force the arbitrary-precision path
         small = td.CyclicFunction.of([3, 1, 4, 1, 5])
         big = td.CyclicFunction.of([v * 10**9 for v in (3, 1, 4, 1, 5)])
-        ds, db = td.k_deck(small, 3), td.k_deck(big, 3)
-        assert np.all(db.values == ds.values * Fraction(10**27))
+        for k in (3, 4, 5):
+            ds, db = td.k_deck(small, k), td.k_deck(big, k)
+            assert ds.values.dtype == np.int64 and db.values.dtype == object
+            assert ds.denominator == db.denominator == 1
+            assert np.array_equal(db.values,
+                                  ds.values.astype(object) * 10**(9 * k))
 
     def test_rational_scaling(self):
         f = td.CyclicFunction.of(["1/2", "1/3", 0])
         d = td.k_deck(f, 3)
         g = td.CyclicFunction.of([3, 2, 0])
-        assert np.all(d.values * 6**3 == td.k_deck(g, 3).values)
+        # N_f * 6^3 == N_g, with N_f = d.values / d.denominator
+        assert np.array_equal(d.values * 6**3,
+                              td.k_deck(g, 3).values * d.denominator)
+
+    def test_exact_deck_in_lowest_terms(self):
+        d = td.k_deck(td.CyclicFunction.of(["1/2", "1/2"]), 3)
+        assert d.denominator == 4 and np.all(d.values == 1)  # 2/8 = 1/4
+        assert d.to_json_dict()["values"] == ["1/4"] * 4
+        # int64 entries over a denominator beyond int64
+        tiny = td.k_deck(td.CyclicFunction.of([Fraction(1, 3**30), 0]), 3)
+        assert tiny.values.dtype == np.int64 and tiny.denominator == 3**90
+        assert tiny.to_json_dict()["values"] == [f"1/{3**90}", 0, 0, 0]
+        assert tiny.to_csv().splitlines()[1:] == [f"1/{3**90},0", "0,0"]
+        assert tiny.as_floats()[0, 0] == float(Fraction(1, 3**90))
+
+    @pytest.mark.parametrize("values", [
+        ["1000001/7", "3/7", "5/7"],  # int64 entries >= 2^53
+        [f"{10**12 + 1}/3", 1, "2/9"],  # object entries
+    ])
+    def test_as_floats_rounds_each_entry_once(self, values):
+        d = td.k_deck(td.CyclicFunction.of(values), 3)
+        assert int(np.max(np.abs(d.values))) >= 2**53
+        want = [float(Fraction(int(x), d.denominator))
+                for x in d.values.reshape(-1).tolist()]
+        assert d.as_floats().reshape(-1).tolist() == want
+
+    def test_deck_equal_across_value_denominators(self):
+        f = td.CyclicFunction.of(["1/2", "1/3", 0, "5/4"])
+        d = td.k_deck(f, 3)
+        # the same deck written over 7 * 12^3 and over each entry's own
+        # denominator; both reduce to the lowest-terms deck
+        scaled = td.KDeck(4, 3, d.values * 7, d.denominator * 7)
+        back = td.KDeck.from_json_dict(d.to_json_dict())
+        assert td.deck_equal(d, scaled) and td.deck_equal(d, back)
+        assert scaled.denominator == back.denominator == d.denominator
+        changed = d.values.copy()
+        changed[1, 2] += 1
+        assert not td.deck_equal(d, td.KDeck(4, 3, changed, d.denominator))
 
     @given(small_functions(), st.integers(0, 11), st.integers(2, 4))
     @settings(max_examples=60, deadline=None)
@@ -110,6 +162,22 @@ class TestKDeck:
         csv = d.to_csv()
         assert csv.startswith("# n=3,k=3,convention=positive-exponent")
         assert len(csv.strip().splitlines()) == 4
+
+    @pytest.mark.parametrize("d", [
+        {"n": 2, "values": [1, 2, 3, 4]},  # no k
+        {"k": 3, "values": [1, 2, 3, 4]},  # no n
+        {"n": 2, "k": 3},  # no values
+        [2, 3, [1, 2, 3, 4]],  # not an object
+        {"n": 2, "k": 3, "values": [1, 2, 3]},  # n^(k-1) = 4 entries
+        {"n": 2, "k": 9, "values": [1] * 256},  # order out of range
+        {"n": 2, "k": 3, "values": [1.0, float("nan"), 3.0, 4.0]},
+        {"n": 2, "k": 3, "values": [1.0, float("inf"), 3.0, 4.0]},
+        {"n": 2, "k": 3, "values": ["1/2", "1/0", 3, 4]},
+        {"n": 2, "k": 3, "values": [1, None, 3, 4]},
+    ])
+    def test_json_loader_rejects_malformed(self, d):
+        with pytest.raises(DomainError):
+            td.KDeck.from_json_dict(d)
 
 
 class TestBispectrum:

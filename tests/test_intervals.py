@@ -76,7 +76,7 @@ class TestGaps:
         assert prof.gap_list == (F(1), F(1, 2))
 
     def test_single_interval_no_gap(self):
-        assert td.has_lower_bounded_gaps(
+        assert td.gap_profile(
             td.IntervalSet.of([(0, 1)])).min_gap is None
 
 

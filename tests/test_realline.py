@@ -34,12 +34,12 @@ class TestSampledFunction:
         assert g.h == f.h and g.origin == f.origin
         assert np.array_equal(g.values, f.values)
 
-    def test_binary_roundtrip(self, tmp_path):
-        f = td.SampledFunction(1 / 8, -1.0, np.array([0.0, 1.5, 2.25]))
-        p = str(tmp_path / "f.bin")
-        f.save_binary(p)
-        g = td.SampledFunction.load_binary(p)
-        assert g.h == f.h and np.array_equal(g.values, f.values)
+    @pytest.mark.parametrize("h, origin, bad", [
+        (1 / 8, 0.0, np.nan), (1 / 8, 0.0, np.inf),
+        (np.nan, 0.0, 1.0), (1 / 8, np.inf, 1.0)])
+    def test_rejects_non_finite(self, h, origin, bad):
+        with pytest.raises(DomainError):
+            td.SampledFunction(h, origin, np.array([0.0, bad, 1.0]))
 
 
 class TestGridDecks:
