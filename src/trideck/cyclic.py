@@ -48,8 +48,8 @@ class CyclicFunction:
     """A rational-valued function on Z/nZ, immutable after construction.
 
     Use .of() to build validated (nonnegative) instances; the raw constructor
-    skips the sign check so that internal decompositions (e.g. the p/q split
-    of the solution-family enumeration) can carry signed parts.
+    skips the sign check so that signed functions (e.g. the p- and
+    q-periodic parts of a function on Z/pqZ) can be represented.
     """
 
     n: int

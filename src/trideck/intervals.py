@@ -68,8 +68,19 @@ class IntervalSet:
         return {"intervals": [[str(a), str(b)] for a, b in self.intervals]}
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "IntervalSet":
-        return cls.of(d["intervals"])
+    def from_json_dict(cls, d) -> "IntervalSet":
+        """Raises DomainError unless d is {"intervals": [[a, b], ...]} with
+        finite, non-boolean endpoints."""
+        pairs = d.get("intervals") if isinstance(d, dict) else None
+        if not isinstance(pairs, list) or not all(
+                isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs):
+            raise DomainError(
+                'an interval set is {"intervals": [[a, b], ...]}')
+        if any(isinstance(x, bool) or isinstance(x, float)
+               and not math.isfinite(x) for p in pairs for x in p):
+            raise DomainError("interval endpoints must be finite numbers "
+                              "or rational strings")
+        return cls.of(pairs)
 
 
 @dataclasses.dataclass(frozen=True)

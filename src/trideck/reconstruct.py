@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cyclic import (Bispectrum, CyclicFunction, KDeck, bispectrum_from_deck,
-                     canonical_rotation, three_deck_fft, translate)
+                     canonical_rotation, deck_equal, k_deck, three_deck_fft,
+                     translate)
 from .cyclotomic import _factorize, function_poly, zero_pattern_of_poly
 from .errors import DomainError, InconsistentBispectrumError
 
@@ -125,8 +126,7 @@ def _support_edges(n: int, support: Sequence[int]):
     return edges
 
 
-def propagate_phases(support, B: Bispectrum,
-                     phase_tol: float = PHASE_TOL) -> PhaseAssignment:
+def propagate_phases(support, B: Bispectrum) -> PhaseAssignment:
     """Breadth-first phase closure from the gauge seeds {0, s} (s the
     smallest nonzero support index), then exact resolution of the remaining
     one-parameter gauge from wrap-around and conjugacy constraints."""
@@ -186,7 +186,7 @@ def propagate_phases(support, B: Bispectrum,
     else:
         cands = [0.0]
     sols = [t for t in cands
-            if all(_wrap(r + t * d) <= phase_tol for d, r in constraints)]
+            if all(_wrap(r + t * d) <= PHASE_TOL for d, r in constraints)]
     if not sols:
         raise InconsistentBispectrumError(
             "phase propagation found contradictory cycles; the input is "
@@ -197,8 +197,8 @@ def propagate_phases(support, B: Bispectrum,
                            frozenset(sset) - set(theta))
 
 
-def _inverse_to_function(n: int, ghat: np.ndarray, fhat0: float,
-                         max_denominator: int = 10**9) -> CyclicFunction:
+def _inverse_to_function(n: int, ghat: np.ndarray,
+                         fhat0: float) -> CyclicFunction:
     g = np.fft.fft(ghat) / n  # inverse of the positive-exponent transform
     peak = max(float(np.max(np.abs(g.real))), 1e-30)
     if float(np.max(np.abs(g.imag))) > 1e-8 * peak:
@@ -210,27 +210,21 @@ def _inverse_to_function(n: int, ghat: np.ndarray, fhat0: float,
         raise InconsistentBispectrumError(
             "reconstruction has a materially negative value")
     vals[neg] = 0.0
-    return CyclicFunction.from_floats(vals, max_denominator)
+    return CyclicFunction.from_floats(vals)
 
 
-def _verify_deck(cand: CyclicFunction, deck: KDeck,
-                 rel_tol: float = 1e-8) -> bool:
+def _verify_deck(cand: CyclicFunction, deck: KDeck) -> bool:
+    """Does cand have this 3-deck?  Exactly for an exact deck, else to
+    relative 1e-8 of the deck's scale."""
+    if deck.exact:
+        return deck_equal(k_deck(cand, 3), deck)
     got = three_deck_fft(cand).as_floats()
     want = deck.as_floats()
     scale = max(float(np.max(np.abs(want))), 1e-30)
-    return float(np.max(np.abs(got - want))) <= rel_tol * scale
+    return float(np.max(np.abs(got - want))) <= 1e-8 * scale
 
 
-def _sub_bispectrum(B: Bispectrum, step: int) -> Bispectrum:
-    """Restriction to the subgroup step*Z, reindexed as Z/(n/step)Z."""
-    m = B.n // step
-    idx = step * np.arange(m)
-    return Bispectrum(m, B.values[np.ix_(idx, idx)])
-
-
-def reconstruct_from_deck(deck: KDeck,
-                          phase_tol: float = PHASE_TOL
-                          ) -> ReconstructionReport:
+def reconstruct_from_deck(deck: KDeck) -> ReconstructionReport:
     """Magnitude extraction + phase propagation; on full closure a single
     candidate (canonicalized to its smallest rotation), on a split support
     with pq structure the finite solution family, else Indeterminate."""
@@ -246,7 +240,7 @@ def reconstruct_from_deck(deck: KDeck,
                                     Uniqueness("UniqueUpToTranslation"), 0, ())
     support = {l for l in range(n) if mags[l] > SUPPORT_REL_TOL * fhat0}
 
-    pa = propagate_phases(support, B, phase_tol)
+    pa = propagate_phases(support, B)
     if not pa.unreached:
         ghat = np.zeros(n, dtype=np.complex128)
         for l in support:
@@ -263,10 +257,8 @@ def reconstruct_from_deck(deck: KDeck,
     fact = _factorize(n)
     if len(fact) == 2 and all(a == 1 for a in fact.values()):
         p, q = sorted(fact)
-        mult_p = {l for l in range(n) if l % p == 0}
-        mult_q = {l for l in range(n) if l % q == 0}
-        if support <= (mult_p | mult_q):
-            cands = _pq_family(deck, B, n, p, q, fhat0, phase_tol)
+        if all(l % p == 0 or l % q == 0 for l in support):
+            cands = _pq_family(deck, p, q)
             if cands is not None:
                 return ReconstructionReport(
                     tuple(cands), Uniqueness("FiniteFamily", len(cands)),
@@ -275,49 +267,39 @@ def reconstruct_from_deck(deck: KDeck,
                                 pa.trace, pa)
 
 
-def _pq_family(deck: KDeck, B: Bispectrum, n: int, p: int, q: int,
-               fhat0: float, phase_tol: float
-               ) -> Optional[list[CyclicFunction]]:
-    """Candidates g = u_p(.-j) + u_q(.-l) - const from the two subgroup
-    restrictions of the bispectrum (p-periodic + q-periodic split)."""
+def _pq_family(deck: KDeck, p: int,
+               q: int) -> Optional[list[CyclicFunction]]:
+    """The translation orbit of one representative r, rebuilt from the
+    deck's folds onto Z/pZ and Z/qZ.  A fold is the 3-deck of the folded
+    function on a prime modulus, so it is recovered up to translation; the
+    lifted folds are the p- and q-periodic parts of r, and by the Chinese
+    remainder theorem a translation of each part is one translation of r.
+    None when r is negative or does not reproduce the deck."""
+    n = p * q
     parts = []
-    for period, step in ((p, q), (q, p)):
-        sub = _sub_bispectrum(B, step)
-        sub_mags = magnitudes_from_bispectrum(sub)
-        m0 = float(sub_mags[0])
-        sub_support = {l for l in range(period)
-                       if sub_mags[l] > SUPPORT_REL_TOL * max(m0, 1e-30)}
-        spa = propagate_phases(sub_support, sub, phase_tol)
-        if spa.unreached:
+    for period, other in ((p, q), (q, p)):
+        fold = deck.values.reshape(other, period, other, period).sum(
+            axis=(0, 2))
+        rep = reconstruct_from_deck(KDeck(period, 3, fold, deck.denominator))
+        if len(rep.candidates) != 1:
             return None
-        ahat = np.zeros(period, dtype=np.complex128)
-        for l in sub_support:
-            ahat[l] = sub_mags[l] * spa.xi[l]
-        a = np.fft.fft(ahat).real / period  # values of the period function
-        # lift: u(j) = a(j mod period) / (n / period)
-        parts.append(np.array([a[j % period] for j in range(n)]) /
-                     (n // period))
-    u_p, u_q = parts
-    const = fhat0 / n  # fhat(0) is counted in both restrictions
-    out = []
-    for j in range(p):
-        for l in range(q):
-            vals = np.roll(u_p, j) + np.roll(u_q, l) - const
-            if np.min(vals) < -1e-8 * max(fhat0, 1e-30):
-                continue
-            cand = CyclicFunction.from_floats(np.clip(vals, 0.0, None))
-            if _verify_deck(cand, deck):
-                out.append(cand)
-    return out or None
+        parts.append(rep.candidates[0].values)
+    a, b = parts
+    total = sum(a)
+    r = CyclicFunction(n, tuple(a[j % p] / q + b[j % q] / p - total / n
+                                for j in range(n)))
+    if min(r.values) < 0 or not _verify_deck(r, deck):
+        return None
+    return solutions_pq(canonical_rotation(r)[0], p, q)
 
 
 def solutions_pq(f: CyclicFunction, p: int, q: int) -> list[CyclicFunction]:
-    """The full solution family g_{j,l} = f_p(.-j) + f_q(.-l) for a rational
-    f on Z/pqZ whose spectrum lives in the two prime subgroup supports.
-
-    f_p is the p-periodic part (spectrum on multiples of q), f_q the
-    q-periodic part; the zero frequency is split half and half.  All p*q
-    members share the exact 3-deck of f.
+    """The solution family of a rational f on Z/pqZ whose spectrum lives in
+    the two prime subgroup supports: g_{j,l} = f_p(.-j) + f_q(.-l) for the
+    p-periodic part f_p and the q-periodic part f_q of f.  By the Chinese
+    remainder theorem g_{j,l} is the translate of f by the s with
+    s = j mod p and s = l mod q, so the family is the p*q translates of f,
+    f itself first, and all members share the exact 3-deck of f.
     """
     n = f.n
     for r in (p, q):
@@ -332,20 +314,5 @@ def solutions_pq(f: CyclicFunction, p: int, q: int) -> list[CyclicFunction]:
         raise DomainError(
             "spectrum support leaves the two subgroup supports: "
             f"{sorted(pattern.support - allowed)}")
-    total = sum(f.values)
-    half = total / (2 * n)
-    # averaging over shifts by p gives the p-periodic part
-    f_p = tuple(sum(f.values[(j + m * p) % n] for m in range(q)) / q - half
-                for j in range(n))
-    f_q = tuple(sum(f.values[(j + m * q) % n] for m in range(p)) / p - half
-                for j in range(n))
-    fp = CyclicFunction(n, f_p)
-    fq = CyclicFunction(n, f_q)
-    out = []
-    for j in range(p):
-        for l in range(q):
-            tp = translate(fp, j)
-            tq = translate(fq, l)
-            out.append(CyclicFunction(
-                n, tuple(a + b for a, b in zip(tp.values, tq.values))))
-    return out
+    a, b = q * pow(q, -1, p), p * pow(p, -1, q)  # CRT idempotents
+    return [translate(f, j * a + l * b) for j in range(p) for l in range(q)]

@@ -207,6 +207,23 @@ def _deck_documents(draw):
 
 
 @st.composite
+def _interval_documents(draw):
+    """Interval-set JSON documents: {"intervals": [[a, b], ...]} with
+    ordered endpoints, or odd scalars, wrong-length pairs and other
+    shapes in their place."""
+    ends = sorted(draw(st.lists(st.integers(-20, 20), max_size=6,
+                                unique=True)))
+    pairs = [list(ends[i:i + 2]) for i in range(0, len(ends) - 1, 2)]
+    for i in draw(st.sets(st.integers(0, max(len(pairs) - 1, 0)))):
+        if i < len(pairs):
+            pairs[i] = draw(st.one_of(
+                st.lists(_SCALARS, max_size=3), _SCALARS))
+    return draw(st.sampled_from([{"intervals": pairs}, pairs, {},
+                                 {"intervals": draw(_SCALARS)},
+                                 draw(_SCALARS)]))
+
+
+@st.composite
 def _sample_csvs(draw):
     """Sample CSV texts: a header h,origin,count and one value per line."""
     values = draw(st.lists(st.one_of(
@@ -240,6 +257,12 @@ class TestLoaderFuzz:
             with open(path, "w") as fh:
                 fh.write(text)
             self._check(["reconstruct", "--deck", path])
+
+    @given(st.one_of(_interval_documents(), st.text(max_size=40)))
+    @settings(max_examples=150, deadline=None)
+    def test_intervals_gaps(self, doc):
+        text = doc if isinstance(doc, str) else json.dumps(doc)
+        self._check(["intervals", "gaps", "--set", text])
 
     @given(_sample_csvs())
     @settings(max_examples=150, deadline=None)

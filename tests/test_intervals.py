@@ -40,6 +40,15 @@ class TestIntervalSet:
         E = td.IntervalSet.of([(0, "1/3"), (1, 2)])
         assert td.IntervalSet.from_json_dict(E.to_json_dict()) == E
 
+    @pytest.mark.parametrize("doc", [
+        {}, [1], "x", {"intervals": 3}, {"intervals": [[0, 1, 2]]},
+        {"intervals": [[0]]}, {"intervals": [(0, 1, 2)]},
+        {"intervals": [[True, 2]]}, {"intervals": [[0, float("inf")]]},
+        {"intervals": [[float("nan"), 1]]}])
+    def test_json_loader_rejects_malformed(self, doc):
+        with pytest.raises(DomainError):
+            td.IntervalSet.from_json_dict(doc)
+
 
 class TestTripleCorrelation:
     def test_single_interval_closed_form(self):

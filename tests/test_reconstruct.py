@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,31 @@ def _rounded(f):
 def _no_spectral_zeros(f):
     pat = zero_pattern_of_poly(f.n, function_poly(f.n, f.values))
     return not pat.zeros
+
+
+def _split_function(u, v):
+    """f(j) = u(j mod p) + v(j mod q) on Z/pqZ, p = len(u), q = len(v)."""
+    p, q = len(u), len(v)
+    return td.CyclicFunction(p * q, tuple(Fraction(u[j % p]) + v[j % q]
+                                          for j in range(p * q)))
+
+
+def _averaging_family(f, p, q):
+    """The family built from averaged parts: f_p and f_q are the averages
+    of f over shifts by p and by q, each less half the mean, and member
+    (j, l) is f_p(.-j) + f_q(.-l)."""
+    n = f.n
+    half = sum(f.values) / (2 * n)
+    f_p = td.CyclicFunction(n, tuple(
+        sum(f.values[(j + m * p) % n] for m in range(q)) / q - half
+        for j in range(n)))
+    f_q = td.CyclicFunction(n, tuple(
+        sum(f.values[(j + m * q) % n] for m in range(p)) / p - half
+        for j in range(n)))
+    return [td.CyclicFunction(n, tuple(
+        a + b for a, b in zip(td.translate(f_p, j).values,
+                              td.translate(f_q, l).values)))
+        for j in range(p) for l in range(q)]
 
 
 class TestMagnitudes:
@@ -136,14 +163,40 @@ class TestReconstructFromDeck:
             is not None
 
     def test_pq_finite_family(self):
-        f = td.CyclicFunction.of([1, 1, 0, 2, 0, 1])
+        self._check_pq_family(td.CyclicFunction.of([1, 1, 0, 2, 0, 1]))
+
+    def test_pq_finite_family_n35(self):
+        self._check_pq_family(
+            _split_function([0, 3, 1, 1, 2], [1, 4, 2, 2, 1, 3, 1]))
+
+    @staticmethod
+    def _check_pq_family(f):
+        """The family is the translation orbit of f, canonical rotation
+        first, every member with exactly the input deck; a float deck of f
+        gives the same set."""
+        n = f.n
         deck = td.k_deck(f, 3)
         rep = td.reconstruct_from_deck(deck)
         assert rep.uniqueness.kind == "FiniteFamily"
-        assert rep.uniqueness.count == len(rep.candidates) == 6
+        assert rep.uniqueness.count == len(rep.candidates) == n
+        orbit = {td.translate(f, k) for k in range(n)}
+        assert set(rep.candidates) == orbit
+        assert rep.candidates[0] == td.canonical_rotation(f)[0]
         for cand in rep.candidates:
-            got = td.three_deck_fft(cand).values
-            assert np.max(np.abs(got - deck.as_floats())) < 1e-8 * 36
+            assert td.deck_equal(td.k_deck(cand, 3), deck)
+        float_rep = td.reconstruct_from_deck(td.three_deck_fft(f))
+        assert float_rep.uniqueness == rep.uniqueness
+        assert set(float_rep.candidates) == orbit
+
+    def test_pq_fold_with_spectral_gap_is_indeterminate(self):
+        # the 5-periodic part 1 + cos(2 pi j/5)/2 has fhat(2) = 0, so its
+        # deck leaves the phase of fhat(1) free and every phase gives the
+        # same deck; the report says Indeterminate instead of raising
+        g = [1 + 0.5 * np.cos(2 * np.pi * j / 5) for j in range(5)]
+        f = td.CyclicFunction.from_floats(
+            [g[j % 5] + (0, 2, 1)[j % 3] for j in range(15)], 10**12)
+        rep = td.reconstruct_from_deck(td.three_deck_fft(f))
+        assert rep.uniqueness.kind == "Indeterminate"
 
     def test_gauge_shift_recorded(self):
         f = td.CyclicFunction.of([0, 0, 5, 1])
@@ -214,6 +267,20 @@ class TestSolutionsPq:
         decks = [td.k_deck(g, 3) for g in sols]
         for d in decks[1:]:
             assert td.deck_equal(decks[0], d)
+
+
+    @pytest.mark.parametrize("p,q", [(3, 2), (3, 5), (5, 7), (7, 11)])
+    def test_equals_averaging_construction(self, p, q):
+        rng = np.random.default_rng(1000 * p + q)
+        for trial in range(6):
+            lo = -4 if trial % 2 else 0  # odd trials have signed parts
+            u = [int(x) for x in rng.integers(lo, 5, p)]
+            v = [Fraction(int(x), int(d)) for x, d in
+                 zip(rng.integers(lo, 5, q), rng.choice([1, 2, 3], q))]
+            if trial == 4:
+                u = [2] * p  # constant p-periodic part
+            f = _split_function(u, v)
+            assert td.solutions_pq(f, p, q) == _averaging_family(f, p, q)
 
 
 class TestRoundtrip:
