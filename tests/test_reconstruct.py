@@ -198,6 +198,44 @@ class TestReconstructFromDeck:
         rep = td.reconstruct_from_deck(td.three_deck_fft(f))
         assert rep.uniqueness.kind == "Indeterminate"
 
+    def test_pq_family_from_int64_deck_whose_folds_pass_2_63(self):
+        # n * max^3 < 2^62 keeps the deck int64, but each fold entry sums
+        # 9 or 25 entries and the folds total (sum f)^3 > 2^63
+        f = _split_function([0, 300000, 600000], [0, 12345, 50000, 31, 27777])
+        deck = td.k_deck(f, 3)
+        assert deck.values.dtype == np.int64
+        assert sum(f.values) ** 3 > 2**63
+        rep = td.reconstruct_from_deck(deck)
+        assert rep.uniqueness == td.Uniqueness("FiniteFamily", 15)
+        assert {_rounded(c) for c in rep.candidates} == \
+            {td.translate(f, k) for k in range(15)}
+
+    def test_pq_float_deck_with_zeros_and_large_denominators(self):
+        # the lifted folds carry round-off of either sign where f is 0
+        f = _split_function(
+            [Fraction(v, 10**11) for v in (0, 36670303151, 38389463117)],
+            [Fraction(v, 10**11) for v in (87359795345, 0, 38534708846,
+                                           32129023457, 86512874764)])
+        assert 0 in f.values
+        rep = td.reconstruct_from_deck(td.three_deck_fft(f))
+        assert rep.uniqueness == td.Uniqueness("FiniteFamily", 15)
+        orbit = [td.translate(f, k).as_floats() for k in range(15)]
+        shifts = set()
+        for c in rep.candidates:
+            assert min(c.values) >= 0
+            shifts |= {k for k in range(15)
+                       if np.allclose(c.as_floats(), orbit[k], rtol=0,
+                                      atol=1e-9)}
+        assert shifts == set(range(15))
+
+    def test_verification_ignores_the_compute_budget(self, monkeypatch):
+        decks = [td.k_deck(f, 3) for f in (td.CyclicFunction.of([2, 1, 0]),
+                                           td.CyclicFunction.of([1, 1, 0, 2,
+                                                                 0, 1]))]
+        monkeypatch.setenv("TRIDECK_BUDGET", "10")
+        for deck in decks:
+            assert td.reconstruct_from_deck(deck).candidates
+
     def test_gauge_shift_recorded(self):
         f = td.CyclicFunction.of([0, 0, 5, 1])
         rep = td.reconstruct_from_deck(td.k_deck(f, 3))
