@@ -207,10 +207,13 @@ def shift_scan_distance(f: SampledFunction, g: SampledFunction) -> float:
     """min over integer-grid shifts (and half-bin offsets) of
     ||f - g(.-a)||_2 / ||f||_2; the non-translate certificate at grid scale."""
     fv, gv = f.values, g.values
-    nf2, ng2 = float(np.dot(fv, fv)), float(np.dot(gv, gv))
+    nf2 = float(np.dot(fv, fv))
     best = np.inf
     for gg in (gv, 0.5 * (gv[:-1] + gv[1:])):  # whole- and half-bin grids
-        corr = np.correlate(fv, gg, mode="full")
+        # every lag of the full correlation, zero-padded so none wraps
+        size = 1 << (len(fv) + len(gg) - 2).bit_length()
+        corr = np.fft.irfft(np.fft.rfft(fv, size)
+                            * np.conj(np.fft.rfft(gg, size)), size)
         n2 = float(np.dot(gg, gg))
         d2 = nf2 + n2 - 2 * float(np.max(corr))
         best = min(best, max(d2, 0.0))

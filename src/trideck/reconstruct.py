@@ -1,18 +1,23 @@
 """Recovery of a nonnegative function on Z/nZ from its 3-deck/bispectrum.
 
-Magnitudes come from the diagonal B(l,-l); phases are propagated over the
-spectral support graph (an edge for each in-support relation l1+l2=l).
-Every constraint is linear in the unknown phases, and the solution set of a
-connected component is a one-parameter family theta(l) + t*mu(l) with
-integer weights mu; wrap-around and conjugate-symmetry constraints pin t to
-finitely many values, which are exactly the translates of the original.
+Magnitudes come from the diagonal B(l,-l).  Phases come from frequency
+marching: with xi(0) = 1 and xi(s) = 1 for the smallest nonzero support
+index s as seeds, each in-support target l, in increasing order, takes the
+phase of the magnitude-weighted sum of xi(l1) xi(l2) conj(B(l1,l2)) over the
+in-support pairs l1 + l2 = l already reached (Bendory, Boumal, Ma, Zhao and
+Singer, arXiv:1705.00641; Sadler and Giannakis, JOSA A 9(1), 1992).  The
+seed at s leaves a one-parameter gauge: the phases are xi(l) exp(i t mu(l))
+with integer weights mu, and every residual relation of weight d pins t to
+one of finitely many values, the translates of the original.  t is chosen by
+weighted least squares over those values, and the result must reproduce the
+bispectrum on the reached support to a relative 1e-6 of max|B|.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -21,15 +26,10 @@ from .cyclic import (Bispectrum, CyclicFunction, KDeck, bispectrum_from_deck,
 from .cyclotomic import _factorize, function_poly, zero_pattern_of_poly
 from .errors import DomainError, InconsistentBispectrumError
 
-PHASE_TOL = 1e-6
 SUPPORT_REL_TOL = 1e-8
+RESIDUAL_REL_TOL = 1e-6
 
 TWO_PI = 2 * np.pi
-
-
-def _wrap(x: float) -> float:
-    """Distance of a phase to 0 modulo 2*pi."""
-    return abs((x + np.pi) % TWO_PI - np.pi)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,16 +47,6 @@ class PhaseAssignment:
     gauge: str
     trace: tuple[dict, ...]
     unreached: frozenset[int]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "gauge": self.gauge,
-            "phases": {str(l): [v.real, v.imag]
-                       for l, v in sorted(self.xi.items())},
-            "trace": list(self.trace),
-            "unreached": sorted(self.unreached),
-        }
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,90 +100,93 @@ def magnitudes_from_bispectrum(B: Bispectrum,
     return mags
 
 
-def _support_edges(n: int, support: Sequence[int]):
-    """For each target l (ascending) the in-support pairs (l1,l2),
-    l1 <= l2, with l1 + l2 = l mod n, in lexicographic order."""
-    sset = set(support)
-    edges = {}
-    for l in sorted(sset):
-        pairs = []
-        for l1 in sorted(sset):
-            l2 = (l - l1) % n
-            if l2 in sset and l1 <= l2:
-                pairs.append((l1, l2))
-        edges[l] = pairs
-    return edges
+def _unit(z):
+    """z / |z|, and 0 where z is 0."""
+    r = np.abs(z)
+    return z / np.where(r > 0, r, 1.0)
 
 
 def propagate_phases(support, B: Bispectrum) -> PhaseAssignment:
-    """Breadth-first phase closure from the gauge seeds {0, s} (s the
-    smallest nonzero support index), then exact resolution of the remaining
-    one-parameter gauge from wrap-around and conjugacy constraints."""
+    """Frequency marching from the gauge seeds {0, s} (s the smallest
+    nonzero support index), then the remaining one-parameter gauge by
+    weighted least squares over its finitely many candidates, and a
+    conjugate-symmetric average."""
     n = B.n
     if hasattr(support, "support"):  # a ZeroPattern
         support = support.support
-    sset = set(int(l) % n for l in support)
-    argB = np.angle(B.values)
-    edges = _support_edges(n, sset)
-
-    theta: dict[int, float] = {}
-    mu: dict[int, int] = {}
-    trace: list[dict] = []
-    if 0 in sset:
-        theta[0], mu[0] = 0.0, 0
-    nonzero = sorted(sset - {0})
+    targets = sorted(set(int(l) % n for l in support))
+    Bc = np.conj(B.values)
+    idx = np.arange(n)
+    xi = np.zeros(n, dtype=np.complex128)
+    mu = np.zeros(n, dtype=np.int64)
+    known = np.zeros(n, dtype=bool)
+    if 0 in targets:
+        xi[0], known[0] = 1.0, True
+    nonzero = [l for l in targets if l]
+    gauge = "xi(0)=1"
     if nonzero:
         s = nonzero[0]
-        theta[s], mu[s] = 0.0, 1
+        xi[s], mu[s], known[s] = 1.0, 1, True
         gauge = f"xi(0)=1, xi({s})=1 seed"
-    else:
-        gauge = "xi(0)=1"
 
+    # Targets in increasing order; a further pass picks up the targets that
+    # only wrap-around pairs, or pairs reached later, can reach.
+    trace: list[dict] = []
     changed = True
     while changed:
         changed = False
-        for l in sorted(sset):
-            if l in theta:
+        for l in targets:
+            if known[l]:
                 continue
-            for l1, l2 in edges[l]:
-                if l1 in theta and l2 in theta:
-                    theta[l] = theta[l1] + theta[l2] - argB[l1, l2]
-                    mu[l] = mu[l1] + mu[l2]
-                    trace.append({"target": l, "via": [l1, l2]})
-                    changed = True
-                    break
+            l2 = (l - idx) % n
+            l1 = np.flatnonzero(known & known[l2] & (idx <= l2))
+            if not len(l1):
+                continue
+            l2 = l2[l1]
+            w = mu[l1] + mu[l2]
+            same = w == w[0]  # sum only pairs of the first pair's weight
+            a, b = l1[same], l2[same]
+            xi[l] = _unit(np.sum(xi[a] * xi[b] * Bc[a, b]))
+            mu[l], known[l] = w[0], True
+            trace.append({"target": l, "via": [int(l1[0]), int(l2[0])]})
+            changed = True
 
-    # Residual constraints: rho + t * dmu = 0 (mod 2*pi).
-    constraints: list[tuple[int, float]] = []
-    for l, pairs in edges.items():
-        if l not in theta:
-            continue
-        for l1, l2 in pairs:
-            if l1 in theta and l2 in theta:
-                rho = theta[l1] + theta[l2] - theta[l] - argB[l1, l2]
-                constraints.append((mu[l1] + mu[l2] - mu[l], rho))
-    for l in list(theta):
-        lc = (n - l) % n
-        if lc in theta:  # conjugate symmetry of a real input
-            constraints.append((mu[l] + mu[lc], theta[l] + theta[lc]))
+    # Every reached pair with a reached sum: z = |B| exp(-i t d) at the
+    # true gauge t, so t maximizes sum_d Re(exp(i t d) S_d).
+    r = np.flatnonzero(known)
+    l3 = (r[:, None] + r[None, :]) % n
+    m = known[l3]
+    l1, l2, l3 = (np.broadcast_to(r[:, None], m.shape)[m],
+                  np.broadcast_to(r[None, :], m.shape)[m], l3[m])
+    Bm = Bc[l1, l2]
+    d = mu[l1] + mu[l2] - mu[l3]
+    z = xi[l1] * xi[l2] * np.conj(xi[l3]) * Bm
+    ds, inv = np.unique(d, return_inverse=True)
+    S = (np.bincount(inv, z.real, len(ds))
+         + 1j * np.bincount(inv, z.imag, len(ds)))
+    ds, S = ds[ds != 0], S[ds != 0]
+    t = 0.0
+    if len(ds):
+        d0 = min(ds, key=lambda v: (abs(v), v))
+        cands = ((TWO_PI * np.arange(abs(d0)) - np.angle(S[ds == d0][0]))
+                 / d0) % TWO_PI
+        score = (np.exp(1j * np.outer(cands, ds)) @ S).real
+        # t + 2*pi*j/gcd(ds) is the same gauge; take the least of them
+        t = float(cands[np.argmax(score)] % (TWO_PI / np.gcd.reduce(ds)))
+    xi = xi * np.exp(1j * t * mu)
+    neg = (-idx) % n
+    sym = known & known[neg]
+    xi[sym] = _unit(xi[sym] + np.conj(xi[neg[sym]]))
 
-    nz = sorted(((abs(d), d, r) for d, r in constraints if d != 0))
-    if nz:
-        _, d0, r0 = nz[0]
-        cands = sorted(((-r0 + TWO_PI * k) / d0) % TWO_PI
-                       for k in range(abs(d0)))
-    else:
-        cands = [0.0]
-    sols = [t for t in cands
-            if all(_wrap(r + t * d) <= PHASE_TOL for d, r in constraints)]
-    if not sols:
+    resid = np.abs(xi[l1] * xi[l2] * np.conj(xi[l3]) * Bm - np.abs(Bm))
+    # written so that a NaN residual fails too
+    if not resid.max(initial=0.0) <= RESIDUAL_REL_TOL * np.abs(Bc).max():
         raise InconsistentBispectrumError(
             "phase propagation found contradictory cycles; the input is "
             "not a genuine bispectrum of a real nonnegative function")
-    t = sols[0]
-    xi = {l: complex(np.exp(1j * (theta[l] + t * mu[l]))) for l in theta}
-    return PhaseAssignment(n, xi, dict(mu), gauge, tuple(trace),
-                           frozenset(sset) - set(theta))
+    return PhaseAssignment(n, {int(l): complex(xi[l]) for l in r},
+                           {int(l): int(mu[l]) for l in r}, gauge,
+                           tuple(trace), frozenset(targets) - set(r.tolist()))
 
 
 def _inverse_to_function(n: int, ghat: np.ndarray,

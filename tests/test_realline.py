@@ -15,6 +15,17 @@ def random_grids(length=96, h=1 / 32):
         .map(lambda xs: td.SampledFunction(h, 0.0, np.array(xs) / 25.0))
 
 
+def _direct_shift_scan(fv, gv):
+    """shift_scan_distance by direct np.correlate over every lag."""
+    nf2 = float(np.dot(fv, fv))
+    best = np.inf
+    for gg in (gv, 0.5 * (gv[:-1] + gv[1:])):
+        corr = np.correlate(fv, gg, mode="full")
+        d2 = nf2 + float(np.dot(gg, gg)) - 2 * float(np.max(corr))
+        best = min(best, max(d2, 0.0))
+    return float(np.sqrt(best) / np.sqrt(nf2))
+
+
 class TestSampledFunction:
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -115,6 +126,15 @@ class TestCounterexamplePairs:
             td.riesz_pair([1, 1], [0.25, 0.5], 3)  # not nonincreasing
         with pytest.raises(DomainError):
             td.riesz_pair([1], [0.5, 0.5], 3)
+
+    def test_shift_scan_matches_direct_correlation(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            fv, gv = (rng.random(rng.integers(2, 80)) for _ in range(2))
+            got = td.shift_scan_distance(td.SampledFunction(0.1, 0.0, fv),
+                                         td.SampledFunction(0.1, 0.0, gv))
+            assert got == pytest.approx(_direct_shift_scan(fv, gv),
+                                        rel=1e-12)
 
     def test_shift_scan_zero_for_translates(self):
         vals = np.zeros(512)

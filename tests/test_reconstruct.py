@@ -1,3 +1,5 @@
+import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trideck as td
+from trideck.cli import EXIT_DOMAIN, main
 from trideck.cyclic import Bispectrum
 from trideck.cyclotomic import function_poly, zero_pattern_of_poly
 from trideck.errors import DomainError, InconsistentBispectrumError
@@ -43,6 +46,60 @@ def _averaging_family(f, p, q):
         a + b for a, b in zip(td.translate(f_p, j).values,
                               td.translate(f_q, l).values)))
         for j in range(p) for l in range(q)]
+
+
+def _negation_closed_supports(n):
+    """Every subset of Z/nZ that contains 0 and is closed under l -> -l."""
+    orbits = sorted({frozenset({l, n - l}) for l in range(1, n)}, key=min)
+    for pick in itertools.product((False, True), repeat=len(orbits)):
+        yield frozenset({0}).union(*(o for o, p in zip(orbits, pick) if p))
+
+
+def _closure(n, support):
+    """The indices breadth-first closure reaches from 0 and the least
+    nonzero support index: a support index is added when it is the sum of
+    two reached ones, until nothing changes."""
+    reached = {0} | set(sorted(support - {0})[:1])
+    while True:
+        grown = reached | {(a + b) % n for a in reached
+                           for b in reached} & support
+        if grown == reached:
+            return reached
+        reached = grown
+
+
+def _bispectrum_on(n, support, rng):
+    """The bispectrum of a real signal whose spectrum has random magnitudes
+    and phases on `support` and is zero elsewhere."""
+    fh = np.zeros(n, dtype=complex)
+    for l in sorted(support):  # negation closed, so n - l comes first
+        if 2 * l > n:
+            fh[l] = np.conj(fh[n - l])
+        elif l == 0:
+            fh[l] = rng.uniform(0.5, 2)
+        elif 2 * l == n:
+            fh[l] = rng.choice([-1, 1]) * rng.uniform(0.5, 2)
+        else:
+            fh[l] = rng.uniform(0.5, 2) * np.exp(2j * np.pi * rng.random())
+    l = np.arange(n)
+    return Bispectrum(n, fh[:, None] * fh[None, :]
+                      * fh[(-l[:, None] - l[None, :]) % n])
+
+
+def _noisy_deck(level):
+    """The fixed n = 64 function with values 1..7 drawn from seed 64, and
+    its 3-deck plus relative noise `level` averaged over the deck's six
+    symmetries."""
+    n = 64
+    rng = np.random.default_rng(64)
+    f = td.CyclicFunction.of([int(v) for v in rng.integers(1, 8, n)])
+    N = td.k_deck(f, 3).as_floats()
+    a, b = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    E = rng.standard_normal(N.shape)
+    E = sum(E[x % n, y % n] for x, y in [(a, b), (b, a), (-a, b - a),
+                                         (b - a, -a), (-b, a - b),
+                                         (a - b, -b)]) / 6
+    return f, td.KDeck(n, 3, N + level * np.max(np.abs(N)) * E)
 
 
 class TestMagnitudes:
@@ -118,6 +175,20 @@ class TestPropagation:
         bad[1, 1] *= np.exp(0.3j)  # break one cycle constraint
         with pytest.raises(InconsistentBispectrumError):
             td.propagate_phases(range(5), Bispectrum(5, bad))
+
+    def test_reach_matches_closure_oracle(self):
+        rng = np.random.default_rng(12)
+        split = []
+        for n in range(1, 13):
+            for support in _negation_closed_supports(n):
+                pa = td.propagate_phases(support,
+                                         _bispectrum_on(n, support, rng))
+                assert pa.unreached == support - _closure(n, support)
+                if pa.unreached:
+                    split.append((n, support))
+        # the split pq supports are among them
+        assert (6, frozenset({0, 2, 3, 4})) in split
+        assert (10, frozenset({0, 2, 4, 5, 6, 8})) in split
 
     @given(st.integers(3, 16), st.data())
     @settings(max_examples=60, deadline=None)
@@ -236,6 +307,13 @@ class TestReconstructFromDeck:
         for deck in decks:
             assert td.reconstruct_from_deck(deck).candidates
 
+    def test_integer_input_n256_is_an_exact_rotation(self):
+        rng = np.random.default_rng(256)
+        f = td.CyclicFunction.of([int(v) for v in rng.integers(1, 8, 256)])
+        rep = td.reconstruct_from_deck(td.k_deck(f, 3))
+        assert rep.uniqueness.kind == "UniqueUpToTranslation"
+        assert td.equal_up_to_translation(f, rep.candidates[0]) is not None
+
     def test_gauge_shift_recorded(self):
         f = td.CyclicFunction.of([0, 0, 5, 1])
         rep = td.reconstruct_from_deck(td.k_deck(f, 3))
@@ -253,6 +331,32 @@ class TestReconstructFromDeck:
         d = rep.to_json_dict()
         assert d["uniqueness"]["kind"] == "UniqueUpToTranslation"
         assert all(set(t) == {"target", "via"} for t in d["trace"])
+
+
+class TestNoisyDeck:
+    @pytest.mark.parametrize("level", [1e-12, 1e-9])
+    def test_reconstructs_near_a_rotation(self, level):
+        f, deck = _noisy_deck(level)
+        rep = td.reconstruct_from_deck(deck)
+        assert rep.uniqueness.kind == "UniqueUpToTranslation"
+        want, got = f.as_floats(), rep.candidates[0].as_floats()
+        dist = min(np.max(np.abs(np.roll(got, s) - want))
+                   for s in range(f.n)) / np.max(want)
+        assert dist <= 1e-6
+
+    def test_too_much_noise_is_rejected(self):
+        with pytest.raises(InconsistentBispectrumError):
+            td.reconstruct_from_deck(_noisy_deck(1e-6)[1])
+
+    def test_too_much_noise_exits_1_through_the_cli(self, capsys, tmp_path):
+        deck = _noisy_deck(1e-6)[1]
+        p = tmp_path / "deck.json"
+        p.write_text(json.dumps({"n": deck.n, "k": 3, "values":
+                                 deck.values.reshape(-1).tolist()}))
+        code = main(["reconstruct", "--deck", str(p)])
+        out, err = capsys.readouterr()
+        assert code == EXIT_DOMAIN and out == ""
+        assert "Traceback" not in err and "deck" in err
 
 
 class TestSolutionsPq:
