@@ -5,12 +5,14 @@ Runs perfbench/run.py, unchanged, on every workload, once with tracing off
 (end-to-end metrics) and once with tracing on (per-layer metrics), one run
 at a time.  The record holds the git commit of the measured sources, and
 for each workload both runs' metrics and the share of operations that
-failed.  Commit the code first, so that the commit recorded is the one
-measured.
+failed.  Every record uses the same seed and run length, so that records
+compare.  Metrics that no longer measure what their name says are listed
+under `stale_metrics`.  Commit the code first, so that the commit recorded
+is the one measured.
 
 Usage, from the repository root:
 
-    python3 scripts/bench_record.py --label 6 [--seed 1] [--seconds 30]
+    python3 scripts/bench_record.py --label 6
 """
 
 import argparse
@@ -24,6 +26,12 @@ import numpy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("sweep", "reconstruct", "decks")
+SEED = 1
+SECONDS = 30
+# perfbench computes this counter as the multiply-adds of two direct
+# correlations; shift_scan_distance is an FFT correlation, so it overstates
+# the work by orders of magnitude.
+STALE_METRICS = ("realline.shift_scan_macs",)
 
 
 def _git(*args: str) -> str:
@@ -31,12 +39,12 @@ def _git(*args: str) -> str:
                           text=True, check=True).stdout.strip()
 
 
-def run_bench(workload: str, seed: int, seconds: int, trace: int) -> dict:
+def run_bench(workload: str, trace: int) -> dict:
     """The JSON summary perfbench prints on its last line of stdout."""
     done = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
-         "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
+         "--workload", workload, "--seed", str(SEED),
+         "--seconds", str(SECONDS), "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True)
     if done.returncode != 0:
         sys.exit(f"perfbench --workload {workload} --trace {trace} exited "
@@ -48,22 +56,21 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True,
                     help="the record is written to BENCH_<label>.json")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=int, default=30)
     args = ap.parse_args()
 
     record = {
         "git_sha": _git("rev-parse", "HEAD"),
         "sources_modified": bool(_git("status", "--porcelain", "--",
                                       "src", "perfbench")),
-        "seed": args.seed, "seconds": args.seconds,
+        "seed": SEED, "seconds": SECONDS,
+        "stale_metrics": list(STALE_METRICS),
         "python": platform.python_version(), "numpy": numpy.__version__,
         "cpus": os.cpu_count(), "workloads": {},
     }
     for workload in WORKLOADS:
         entry = {}
         for trace, key in ((0, "end_to_end"), (1, "per_layer")):
-            res = run_bench(workload, args.seed, args.seconds, trace)
+            res = run_bench(workload, trace)
             entry[key] = res["metrics"]
             entry[f"{key}_run"] = {
                 "correct": res["correct"], "attempted": res["attempted"],

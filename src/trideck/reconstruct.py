@@ -110,7 +110,13 @@ def propagate_phases(support, B: Bispectrum) -> PhaseAssignment:
     """Frequency marching from the gauge seeds {0, s} (s the smallest
     nonzero support index), then the remaining one-parameter gauge by
     weighted least squares over its finitely many candidates, and a
-    conjugate-symmetric average."""
+    conjugate-symmetric average.
+
+    The consistency check is one bound on the bispectrum residual, relative
+    to max|B|: a wrong phase on an entry with |B| below RESIDUAL_REL_TOL
+    times max|B| is not detected here.  The final check is _verify_deck in
+    reconstruct_from_deck, which compares each candidate's 3-deck with the
+    input to relative 1e-8."""
     n = B.n
     if hasattr(support, "support"):  # a ZeroPattern
         support = support.support
