@@ -255,7 +255,7 @@ def _deck_int64(v: np.ndarray, n: int, k: int) -> np.ndarray:
         return (R * v[None, :]) @ R.T
     letters = "abcde"[: k - 1]
     sub = "j," + ",".join(f"{c}j" for c in letters) + "->" + letters
-    return np.einsum(sub, v, *([R] * (k - 1)))
+    return np.einsum(sub, v, *([R] * (k - 1)), optimize=True)
 
 
 def k_deck(f: CyclicFunction, k: int, budget: Optional[int] = None) -> KDeck:
@@ -337,10 +337,27 @@ def deck_equal(d1: KDeck, d2: KDeck, tol=0) -> bool:
 
 
 def canonical_rotation(f: CyclicFunction) -> tuple[CyclicFunction, int]:
-    """Lexicographically-smallest rotation and the shift that produces it."""
-    best, best_a = f.values, 0
-    for a in range(1, f.n):
-        cand = tuple(f.values[(j - a) % f.n] for j in range(f.n))
-        if cand < best:
-            best, best_a = cand, a
-    return CyclicFunction(f.n, best), best_a
+    """Lexicographically-smallest rotation and the least shift producing it.
+
+    Minimum-expression search: two candidate starts are compared until one
+    loses, and a loss after m equal values rules out m + 1 starts, so the
+    search takes O(n) comparisons.  If it ends with both candidates equal,
+    they are the two least starts of the least rotation, a period apart."""
+    v, n = f.values, f.n
+    i, j, m = 0, 1, 0
+    while i < n and j < n and m < n:
+        x, y = v[(i + m) % n], v[(j + m) % n]
+        if x == y:
+            m += 1
+            continue
+        if x > y:
+            i += m + 1
+        else:
+            j += m + 1
+        if i == j:
+            j += 1
+        m = 0
+    s = min(i, j)
+    period = abs(i - j) if m == n else n
+    # translate(f, a) starts at -a, and equal rotations start a period apart
+    return CyclicFunction(n, v[s:] + v[:s]), -s % period

@@ -9,6 +9,7 @@ decks), the Grunbaum-Moore style pair of non-translate sets with equal
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 from typing import Optional
@@ -16,12 +17,14 @@ from typing import Optional
 import numpy as np
 
 from .config import compute_budget
-from .cyclic import (CyclicFunction, _deck_int64, deck_equal,
-                     equal_up_to_translation, k_deck)
+from .cyclic import (CyclicFunction, deck_equal, equal_up_to_translation,
+                     k_deck)
 from .cyclotomic import cyclotomic, poly_trim
 from .errors import BudgetError, DomainError, TrideckError
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
+_CHUNK = 1 << 20  # masks canonicalized at once, which bounds the memory
+_FIRST_STAGE = 3  # the sweep keys first on offset tuples with a_1 < 3
 
 
 def _is_prime(m: int) -> bool:
@@ -30,18 +33,64 @@ def _is_prime(m: int) -> bool:
     return all(m % d for d in range(2, int(math.isqrt(m)) + 1))
 
 
-def _canonical_mask(mask: int, n: int) -> int:
-    best = mask
-    full = (1 << n) - 1
-    for _ in range(n - 1):
-        mask = ((mask << 1) | (mask >> (n - 1))) & full
-        if mask < best:
-            best = mask
-    return best
+def _necklaces(n: int) -> int:
+    """Rotation orbits of the subsets of Z/nZ, by Burnside's lemma."""
+    return sum(1 << math.gcd(r, n) for r in range(n)) // n
 
 
-def _mask_to_subset(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(j for j in range(n) if mask >> j & 1)
+def _multisets(m: int, s: int) -> int:
+    """Non-decreasing s-tuples over range(m), for s >= 1."""
+    return math.comb(m + s - 1, s) if m > 0 else 0
+
+
+def _rotate(masks: np.ndarray, n: int, a: int) -> np.ndarray:
+    """Bit j of each result is bit j + a (mod n) of the mask, for 0 < a < n."""
+    t = masks.dtype.type
+    return ((masks >> t(a)) | (masks << t(n - a))) & t((1 << n) - 1)
+
+
+def _least_in_orbit(masks: np.ndarray, n: int) -> np.ndarray:
+    """The masks (bit j set when j is in the set) that are the least of
+    their n rotations, in their given order.  A mask is dropped at its
+    first smaller rotation, so the array shrinks as it goes."""
+    for a in range(1, n):
+        masks = masks[masks <= _rotate(masks, n, a)]
+    return masks
+
+
+def _orbit_reps(n: int) -> np.ndarray:
+    """The least mask of every rotation orbit of subsets of Z/nZ, sorted."""
+    dtype = np.uint32 if n <= 32 else np.uint64
+    total = 1 << n
+    return np.concatenate([
+        _least_in_orbit(np.arange(start, min(start + _CHUNK, total),
+                                  dtype=dtype), n)
+        for start in range(0, total, _CHUNK)])
+
+
+def _deck_rows(reps: np.ndarray, n: int,
+               offsets: list[tuple[int, ...]]) -> np.ndarray:
+    """Deck entries of 0/1 sets, one row per mask and one column per offset
+    tuple: N(a_1, ..., a_{k-1}) of a set A is |A & (A - a_1) & ...|, the
+    popcount of its mask ANDed with the mask's rotations by each a_i.
+    Entries lie in [0, n], so uint8 holds them exactly."""
+    rot = [reps] + [_rotate(reps, n, a) for a in range(1, n)]
+    cols = np.empty((len(offsets), len(reps)), dtype=np.uint8)
+    for i, offset in enumerate(offsets):
+        acc = reps
+        for a in offset:
+            acc = acc & rot[a]
+        np.bitwise_count(acc, out=cols[i])
+    return np.ascontiguousarray(cols.T)
+
+
+def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group id of each row and the size of each group; rows are equal
+    exactly when their bytes are."""
+    keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+    _, group, sizes = np.unique(keys, return_inverse=True,
+                                return_counts=True)
+    return group, sizes
 
 
 @dataclasses.dataclass(frozen=True)
@@ -64,31 +113,47 @@ class DeterminacyReport:
 def exhaustive_determinacy(n: int, k: int,
                            budget: Optional[int] = None) -> DeterminacyReport:
     """Group all 2^n subsets by exact k-deck, quotient by rotation, report
-    every deck class containing two or more rotation orbits."""
+    every deck class containing two or more rotation orbits.
+
+    Subsets are bitmasks (uint32 up to n = 32, uint64 up to n = 64), and a
+    0/1 set's deck entries are popcounts.  A k-deck is symmetric in its
+    arguments, so its entries at 0 <= a_1 <= ... <= a_{k-1} < n decide it.
+    The least mask of each rotation orbit is grouped first on the entries
+    with a_1 <= 2, which see more than the 2-deck (a set and its mirror
+    image share the 2-deck); only masks that collide there get the rest.
+
+    The budget is charged before any work starts, with the kernel's own
+    operation count: 2^n * n for the rotation pass, plus necklaces(n) times
+    the number of first-stage offset tuples.  The second stage, over the
+    colliding masks only, is not charged.
+    """
     if n < 1 or k < 2:
         raise DomainError(f"need n >= 1 and k >= 2, got n={n}, k={k}")
-    if 2**n * n ** (k - 1) > compute_budget(budget):
-        raise BudgetError(
-            f"2^{n} * {n}^{k - 1} subsets*deck exceeds the compute budget")
+    if n > 64:
+        raise DomainError(f"n = {n} > 64: subsets are at most 64-bit masks")
+    first = _multisets(n, k - 1) - _multisets(n - _FIRST_STAGE, k - 1)
+    cost = (1 << n) * n + _necklaces(n) * first
+    if cost > compute_budget(budget):
+        raise BudgetError(f"a sweep at n={n}, k={k} needs {cost} operations, "
+                          "over the compute budget")
 
-    reps = sorted({_canonical_mask(m, n) for m in range(1 << n)})
-    # The key is the deck itself, so equal keys mean equal decks.  A 0/1
-    # deck has entries in [0, n], which the smallest unsigned type holding
-    # n stores exactly, and a 3-deck is symmetric, N(j1,j2) = N(j2,j1), so
-    # its upper triangle determines it.
-    key_type = np.min_scalar_type(n)
-    upper = np.triu_indices(n)
-    classes: dict[bytes, list[int]] = {}
-    for mask in reps:
-        v = np.array([mask >> j & 1 for j in range(n)], dtype=np.int64)
-        deck = _deck_int64(v, n, k)
-        if k == 3:
-            deck = deck[upper]
-        classes.setdefault(deck.astype(key_type).tobytes(), []).append(mask)
-
-    ambiguous = sorted(tuple(sorted(_mask_to_subset(m, n) for m in masks))
-                       for masks in classes.values() if len(masks) >= 2)
-    stats = {"orbit_reps": len(reps), "deck_classes": len(classes)}
+    reps = _orbit_reps(n)
+    offsets = list(itertools.combinations_with_replacement(range(n), k - 1))
+    rows = _deck_rows(reps, n, [a for a in offsets if a[0] < _FIRST_STAGE])
+    group, sizes = _group_rows(rows)
+    collide = sizes[group] >= 2
+    colliding = reps[collide]
+    rows = np.hstack([rows[collide], _deck_rows(
+        colliding, n, [a for a in offsets if a[0] >= _FIRST_STAGE])])
+    group, _ = _group_rows(rows)
+    classes: dict[int, list[int]] = {}
+    for g, mask in zip(group.tolist(), colliding.tolist()):
+        classes.setdefault(g, []).append(mask)
+    ambiguous = sorted(
+        tuple(sorted(tuple(j for j in range(n) if m >> j & 1) for m in c))
+        for c in classes.values() if len(c) >= 2)
+    stats = {"orbit_reps": len(reps),
+             "deck_classes": int(np.count_nonzero(sizes == 1)) + len(classes)}
     return DeterminacyReport(n, k, 1 << n, tuple(ambiguous), stats)
 
 

@@ -7,7 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trideck as td
+from trideck.cyclic import _deck_int64, _shift_matrix
 from trideck.errors import BudgetError, DomainError, ShapeMismatchError
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_deck_core_contraction_order_is_exact(k, dtype):
+    n = 9
+    v = np.random.default_rng(k).integers(0, 50, n)
+    if dtype is object:  # Python ints beyond int64
+        v = np.array([int(x) * 10**20 for x in v], dtype=object)
+    R = v[_shift_matrix(n)]
+    sub = "j," + ",".join(f"{c}j" for c in "abcde"[:k - 1]) + "->" \
+        + "abcde"[:k - 1]
+    assert np.array_equal(_deck_int64(v, n, k),
+                          np.einsum(sub, v, *([R] * (k - 1)), optimize=False))
 
 
 def small_functions(max_n=12, max_val=9):
@@ -218,3 +233,27 @@ class TestTranslation:
         canon, shift = td.canonical_rotation(f)
         assert canon.values == (Fraction(0), Fraction(1), Fraction(2))
         assert td.translate(f, shift) == canon
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_canonical_rotation_matches_loop(self, seed):
+        def by_loop(f):  # every rotation compared, the least shift kept
+            best, best_a = f.values, 0
+            for a in range(1, f.n):
+                cand = tuple(f.values[(j - a) % f.n] for j in range(f.n))
+                if cand < best:
+                    best, best_a = cand, a
+            return td.CyclicFunction(f.n, best), best_a
+
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            n = int(rng.integers(1, 41))
+            period = int(rng.choice([d for d in range(1, n + 1)
+                                     if n % d == 0]))
+            values = [Fraction(int(a), int(b)) for a, b in
+                      zip(rng.integers(0, 3, period),
+                          rng.integers(1, 3, period))]
+            for vals in (values * (n // period),
+                         [Fraction(int(a), int(b)) for a, b in
+                          zip(rng.integers(0, 4, n), rng.integers(1, 4, n))]):
+                f = td.CyclicFunction(n, tuple(vals))
+                assert td.canonical_rotation(f) == by_loop(f)

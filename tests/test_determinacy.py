@@ -1,10 +1,40 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import trideck as td
-from trideck.determinacy import _canonical_mask, _wilson
+from trideck.determinacy import _least_in_orbit, _orbit_reps, _wilson
 from trideck.errors import BudgetError, DomainError
+
+
+def _rotations(mask, n):
+    full = (1 << n) - 1
+    return [((mask << r) | (mask >> (n - r))) & full for r in range(n)]
+
+
+def _sweep_by_loop(n, k):
+    """The sweep as a reference: the least rotation of every mask by loop,
+    then the exact k_deck of each set, grouped by deck."""
+    reps = sorted({min(_rotations(m, n)) for m in range(1 << n)})
+    classes = {}
+    for mask in reps:
+        subset = tuple(j for j in range(n) if mask >> j & 1)
+        deck = td.k_deck(td.CyclicFunction.indicator(n, subset), k)
+        classes.setdefault(deck.values.tobytes(), []).append(subset)
+    ambiguous = sorted(tuple(sorted(c)) for c in classes.values()
+                       if len(c) >= 2)
+    return td.DeterminacyReport(
+        n, k, 1 << n, tuple(ambiguous),
+        {"orbit_reps": len(reps), "deck_classes": len(classes)})
+
+
+def _burnside(n):
+    phi = [sum(math.gcd(d, j) == 1 for j in range(1, d + 1))
+           for d in range(n + 1)]
+    return sum(phi[d] * 2 ** (n // d) for d in range(1, n + 1)
+               if n % d == 0) // n
 
 
 class TestExhaustive:
@@ -37,9 +67,54 @@ class TestExhaustive:
                 for g in fs[i + 1:]:
                     assert td.equal_up_to_translation(f, g) is None
 
-    def test_canonical_mask(self):
-        assert _canonical_mask(0b100, 3) == 0b001
-        assert _canonical_mask(0b110, 3) == 0b011
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_orbit_reps_are_the_necklaces(self, n):
+        reps = _orbit_reps(n).tolist()
+        assert len(reps) == _burnside(n)
+        assert reps == sorted(reps)
+        assert all(m == min(_rotations(m, n)) for m in reps)
+
+    @pytest.mark.parametrize("n", [32, 33, 40, 64])
+    def test_least_in_orbit_on_wide_masks(self, n):
+        dtype = np.uint32 if n <= 32 else np.uint64
+        rng = np.random.default_rng(n)
+        masks = np.concatenate([
+            rng.integers(0, 1 << n, size=2000, dtype=dtype),
+            np.array([0, 1, (1 << n) - 1], dtype=dtype)])
+        kept = _least_in_orbit(masks, n).tolist()
+        assert kept == [m for m in masks.tolist()
+                        if m == min(_rotations(m, n))]
+        assert 3 <= len(kept) < len(masks)
+
+    @pytest.mark.parametrize("n,k", [(n, k) for k in (2, 3)
+                                     for n in range(1, 13)]
+                             + [(n, 4) for n in range(1, 11)])
+    def test_matches_loop_reference(self, n, k):
+        assert td.exhaustive_determinacy(n, k) == _sweep_by_loop(n, k)
+
+    @pytest.mark.parametrize("n", sorted({2, 3, 5, 7, 11, 13, 17, 19, 23}
+                                         | set(range(1, 22, 2))))
+    def test_prime_and_odd_moduli_are_determined(self, n):
+        # Radcliffe & Scott (prime n), Pebody (odd n): the 3-deck of a
+        # subset of Z/nZ fixes it up to translation
+        rep = td.exhaustive_determinacy(n, 3, budget=10**9)
+        assert rep.ambiguous_classes == ()
+        assert rep.runtime_stats["deck_classes"] == _burnside(n)
+
+    @pytest.mark.parametrize("n,classes", [(18, 7), (20, 18), (22, 31)])
+    def test_even_moduli_ambiguous_counts(self, n, classes):
+        rep = td.exhaustive_determinacy(n, 3, budget=10**9)
+        assert len(rep.ambiguous_classes) == classes
+        assert all(len(c) == 2 for c in rep.ambiguous_classes)
+
+    def test_budget_charges_kernel_work(self):
+        td.exhaustive_determinacy(20, 3)  # fits the default budget
+        with pytest.raises(BudgetError):
+            td.exhaustive_determinacy(22, 3)
+
+    def test_refuses_more_than_64_bits(self):
+        with pytest.raises(DomainError):
+            td.exhaustive_determinacy(65, 3, budget=1)
 
     def test_json(self):
         d = td.exhaustive_determinacy(5, 3).to_json_dict()
