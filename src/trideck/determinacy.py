@@ -19,7 +19,7 @@ import numpy as np
 from .config import compute_budget
 from .cyclic import (CyclicFunction, deck_equal, equal_up_to_translation,
                      k_deck)
-from .cyclotomic import cyclotomic, poly_trim
+from .cyclotomic import cyclotomic
 from .errors import BudgetError, DomainError, TrideckError
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
