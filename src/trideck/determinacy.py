@@ -19,18 +19,12 @@ import numpy as np
 from .config import compute_budget
 from .cyclic import (CyclicFunction, deck_equal, equal_up_to_translation,
                      k_deck)
-from .cyclotomic import cyclotomic
+from .cyclotomic import _factorize, cyclotomic, poly_divmod
 from .errors import BudgetError, DomainError, TrideckError
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _CHUNK = 1 << 20  # masks canonicalized at once, which bounds the memory
 _FIRST_STAGE = 3  # the sweep keys first on offset tuples with a_1 < 3
-
-
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    return all(m % d for d in range(2, int(math.isqrt(m)) + 1))
 
 
 def _necklaces(n: int) -> int:
@@ -182,7 +176,7 @@ def gm_counterexample(p: int, q: int, r: int) -> CounterexamplePair:
     fixed enumeration order) whose 4-decks differ is returned, and all
     claimed properties are re-verified exactly; failure aborts.
     """
-    if not (_is_prime(p) and _is_prime(q)) or p == q:
+    if p == q or any(_factorize(m) != {m: 1} for m in (p, q)):
         raise DomainError(f"p={p}, q={q} must be distinct primes")
     if r < 3:
         raise DomainError(f"r must be >= 3, got {r}")
@@ -248,19 +242,12 @@ def _residue_matrices(n: int) -> list[np.ndarray]:
     for d in range(2, n + 1):
         if n % d:
             continue
-        phi = list(cyclotomic(d))
-        deg = len(phi) - 1
-        M = np.zeros((n, deg), dtype=np.int64)
-        row = [0] * deg
-        row[0] = 1
+        phi = cyclotomic(d)
+        M = np.zeros((n, len(phi) - 1), dtype=np.int64)
+        row: tuple[int, ...] = (1,)
         for j in range(n):
-            M[j] = row
-            # multiply by x modulo the monic Phi_d
-            carry = row[-1]
-            row = [0] + row[:-1]
-            if carry:
-                for i in range(deg):
-                    row[i] -= carry * phi[i]
+            M[j, :len(row)] = row
+            row = poly_divmod((0,) + row, phi)[1]  # x * row mod Phi_d
         mats.append(M)
     return mats
 
@@ -278,7 +265,12 @@ def survey_zero_proportion(n: int, samples: Optional[int] = None,
                            mode: str = "auto") -> SurveyResult:
     """Proportion of subsets of Z/nZ whose indicator spectrum vanishes at
     some l != 0.  Exhaustive when 2^n <= 2^20, otherwise seeded sampling
-    with a counter-based generator and a 95% Wilson interval."""
+    with a counter-based generator and a 95% Wilson interval.
+
+    The exhaustive count tests one representative per rotation orbit and
+    weights it by the orbit size, its least period a | n.  That is exact:
+    rotating a set by s multiplies chi_E_hat(l) by the unit zeta^(ls), so
+    every set of an orbit vanishes at the same l."""
     if n < 1:
         raise DomainError(f"modulus must be >= 1, got {n}")
     if mode not in ("auto", "exhaustive", "sampled"):
@@ -288,15 +280,15 @@ def survey_zero_proportion(n: int, samples: Optional[int] = None,
     if exhaustive:
         if 2**n > 2**20:
             raise BudgetError(f"2^{n} subsets exceed the exhaustive limit")
-        total = 1 << n
-        hits = 0
-        chunk = 1 << 14
-        shifts = np.arange(n, dtype=np.uint64)
-        for start in range(0, total, chunk):
-            masks = np.arange(start, min(start + chunk, total),
-                              dtype=np.uint64)
-            bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(np.int64)
-            hits += int(np.sum(_chunk_hits(bits, mats)))
+        reps = _orbit_reps(n)
+        size = np.full(len(reps), n, dtype=np.int64)
+        for a in range(n - 1, 0, -1):  # the least period is set last
+            if n % a == 0:
+                size[_rotate(reps, n, a) == reps] = a
+        shifts = np.arange(n, dtype=reps.dtype)
+        bits = ((reps[:, None] >> shifts) & 1).astype(np.int64)
+        hits = int(size[_chunk_hits(bits, mats)].sum())
+        total = int(size.sum())
         lo, hi = hits / total, hits / total
         return SurveyResult(n, "exhaustive", total, hits, hits / total,
                             Fraction(hits, total), lo, hi)

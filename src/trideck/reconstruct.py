@@ -16,7 +16,6 @@ bispectrum on the reached support to a relative 1e-6 of max|B|.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Optional
 
 import numpy as np
@@ -303,7 +302,7 @@ def solutions_pq(f: CyclicFunction, p: int, q: int) -> list[CyclicFunction]:
     """
     n = f.n
     for r in (p, q):
-        if r < 2 or any(r % d == 0 for d in range(2, int(math.isqrt(r)) + 1)):
+        if _factorize(r) != {r: 1}:
             raise DomainError(f"{r} is not prime")
     if p == q or n != p * q:
         raise DomainError(f"need n = p*q with distinct primes, got "

@@ -176,6 +176,17 @@ class TestSurvey:
         r = td.survey_zero_proportion(13, mode="exhaustive")
         assert r.exact == Fraction(2, 2**13)
 
+    def test_exhaustive_matches_subset_loop(self):
+        # the plain loop over all 2^n subsets, with the scalar cyclotomic
+        # division, against the orbit-weighted count
+        for n in range(1, 13):
+            hits = sum(
+                1 for mask in range(1 << n)
+                if td.zero_set(n, [j for j in range(n) if mask >> j & 1])
+                .zeros - {0})
+            r = td.survey_zero_proportion(n, mode="exhaustive")
+            assert (r.hits, r.samples) == (hits, 1 << n), n
+
     def test_sampled_deterministic(self):
         a = td.survey_zero_proportion(26, samples=2000, seed=9)
         b = td.survey_zero_proportion(26, samples=2000, seed=9)
