@@ -102,14 +102,15 @@ def _interval_set(spec: str) -> IntervalSet:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (result_dict, optional_csv_text).
+# Subcommand handlers: each returns (result_dict, None) or (None, text), the
+# text being the finished primary output.
 
 def _cmd_deck(args):
     f = _function_from_args(args)
     deck = k_deck(f, args.k, args.budget)
     if args.format == "csv":
-        return deck.to_json_dict(), deck.to_csv()
-    return deck.to_json_dict(), None
+        return None, deck.to_csv()
+    return None, deck.to_json() + "\n"
 
 
 def _cmd_bispectrum(args):
@@ -442,7 +443,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     t0 = time.monotonic()
     try:
-        result, csv_text = args.func(args)
+        result, text = args.func(args)
     except BudgetError as e:
         print(f"trideck: budget refusal: {e}", file=sys.stderr)
         return EXIT_BUDGET
@@ -450,7 +451,7 @@ def main(argv=None) -> int:
         print(f"trideck: error: {e}", file=sys.stderr)
         return EXIT_DOMAIN
 
-    payload = csv_text if csv_text is not None else \
+    payload = text if text is not None else \
         json.dumps(result, indent=2, sort_keys=True) + "\n"
     outputs = []
     if args.out:

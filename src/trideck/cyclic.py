@@ -17,6 +17,7 @@ transform route.  The exact path is the oracle for the float path at small n.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -133,6 +134,8 @@ class KDeck:
     denominator: Optional[int] = None
 
     def __post_init__(self):
+        if self.n < 1:
+            raise DomainError(f"deck modulus must be >= 1, got {self.n}")
         expected = (self.n,) * (self.k - 1)
         if self.values.shape != expected:
             raise ShapeMismatchError(
@@ -160,21 +163,38 @@ class KDeck:
             return v / d  # both operands exact in float64: one rounding
         return (v.astype(object) / d).astype(np.float64)  # int / int
 
-    def _entries(self) -> list:
-        """Flat entries as JSON scalars: an int or "p/q" per exact entry,
-        each in its own lowest terms, and a float per float entry."""
-        if not self.exact:
-            return self.values.reshape(-1).tolist()
-        v, d = self.values.reshape(-1), self.denominator
-        if v.dtype != object and d >= _INT64_SAFE:
-            v = v.astype(object)
-        g = np.gcd(v, d)
-        return [a if b == 1 else f"{a}/{b}"
-                for a, b in zip((v // g).tolist(), (d // g).tolist())]
+    def _entries(self, fmt=lambda t: t) -> list:
+        """Flat entries as JSON scalars, each passed through fmt: an int or
+        "p/q" per exact entry, in its own lowest terms, and a float per
+        float entry.  The deck counts translates of the multiset
+        {0, j_1, ..., j_{k-1}}, so it is symmetric under S_k and a value
+        recurs up to k! times; each distinct exact value is reduced and
+        formatted once and indexed back into place."""
+        flat = self.values.reshape(-1)
+        if not self.exact:  # np.unique would merge -0.0 into 0.0
+            return [fmt(t) for t in flat.tolist()]
+        u, inverse = np.unique(flat, return_inverse=True)
+        d = self.denominator
+        if u.dtype != object and d >= _INT64_SAFE:
+            u = u.astype(object)
+        g = np.gcd(u, d)
+        tokens = [fmt(a if b == 1 else f"{a}/{b}")
+                  for a, b in zip((u // g).tolist(), (d // g).tolist())]
+        return np.array(tokens, dtype=object)[inverse].tolist()
+
+    def _header(self) -> dict:
+        return {"n": self.n, "k": self.k, "convention": "positive-exponent"}
 
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "k": self.k,
-                "convention": "positive-exponent", "values": self._entries()}
+        return {**self._header(), "values": self._entries()}
+
+    def to_json(self) -> str:
+        """The text of json.dumps(self.to_json_dict(), indent=2,
+        sort_keys=True), with each distinct entry encoded once."""
+        # head ends in "\n}", and "values" sorts after the header's keys
+        head = json.dumps(self._header(), indent=2, sort_keys=True)
+        values = ",\n    ".join(self._entries(json.dumps))
+        return f'{head[:-2]},\n  "values": [\n    {values}\n  ]\n}}'
 
     @classmethod
     def from_json_dict(cls, d) -> "KDeck":
@@ -213,9 +233,9 @@ class KDeck:
 
     def to_csv(self) -> str:
         lines = [f"# n={self.n},k={self.k},convention=positive-exponent"]
-        flat = self._entries()
+        flat = self._entries(str)
         for i in range(0, len(flat), self.n):
-            lines.append(",".join(map(str, flat[i:i + self.n])))
+            lines.append(",".join(flat[i:i + self.n]))
         return "\n".join(lines) + "\n"
 
 

@@ -39,7 +39,10 @@ class SampledFunction:
             raise DomainError("sampled values must be nonnegative")
 
     def riemann(self, power: float = 1.0) -> float:
-        return float(self.h * np.sum(self.values**power))
+        """h * sum of values**power; inf when that overflows float64, which
+        callers check for."""
+        with np.errstate(over="ignore"):
+            return float(self.h * np.sum(self.values**power))
 
     def save_csv(self, path: str) -> None:
         with open(path, "w") as fh:

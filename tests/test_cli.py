@@ -2,13 +2,17 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trideck
 from trideck.cli import (EXIT_BUDGET, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main)
 
 
@@ -166,6 +170,39 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
+_RATIONALS = st.builds(
+    Fraction, st.one_of(st.integers(0, 3), st.integers(0, 10**30)),
+    st.one_of(st.integers(1, 4), st.integers(1, 10**30)))
+
+
+class TestDeckOutput:
+    """`deck` prints what the plain encoders make of the deck's entries,
+    each N(j)/D written as a reduced fraction."""
+
+    @given(st.lists(_RATIONALS, min_size=1, max_size=8), st.integers(2, 5),
+           st.sampled_from(["json", "csv"]))
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_match_plain_encoding(self, values, k, fmt):
+        code, out, _ = _run_quiet(
+            ["deck", "--k", str(k), "--format", fmt,
+             "--values", ",".join(map(str, values))])
+        assert code == EXIT_OK
+        deck = trideck.k_deck(trideck.CyclicFunction.of(values), k)
+        plain = [Fraction(x, deck.denominator)
+                 for x in deck.values.reshape(-1).tolist()]
+        if fmt == "json":
+            assert deck.to_json_dict()["values"] == [
+                int(q) if q.denominator == 1 else str(q) for q in plain]
+            assert out == json.dumps(deck.to_json_dict(), indent=2,
+                                     sort_keys=True) + "\n"
+        else:
+            n = len(values)
+            rows = [",".join(map(str, plain[i:i + n]))
+                    for i in range(0, len(plain), n)]
+            assert out == "\n".join(
+                [f"# n={n},k={k},convention=positive-exponent"] + rows) + "\n"
+
+
 class TestMalformedInput:
     def test_deck_without_k(self, capsys, tmp_path):
         p = tmp_path / "deck.json"
@@ -178,6 +215,18 @@ class TestMalformedInput:
         p.write_text("0.125,0.0,3\n1.0\nnan\n1.0\n")
         code, out, err = run(capsys, "rline", "stability", "--in", str(p))
         assert code == EXIT_DOMAIN and out == "" and "finite" in err
+
+    def test_stability_overflow_is_one_error_line(self, tmp_path):
+        p = tmp_path / "g.csv"
+        p.write_text("0.125,0.0,3\n1.0\n1e200\n1.0\n")
+        src = os.path.dirname(os.path.dirname(trideck.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "trideck.cli", "rline", "stability",
+             "--in", str(p)], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == EXIT_DOMAIN and done.stdout == ""
+        assert done.stderr == \
+            "trideck: error: the sample integrals overflow float64\n"
 
 
 _SCALARS = st.one_of(

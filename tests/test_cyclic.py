@@ -178,6 +178,27 @@ class TestKDeck:
         assert csv.startswith("# n=3,k=3,convention=positive-exponent")
         assert len(csv.strip().splitlines()) == 4
 
+    @pytest.mark.parametrize("deck", [
+        lambda: td.k_deck(td.CyclicFunction.of([2, 1, 0, 5]), 4),  # int64
+        # int64 entries over a denominator beyond int64
+        lambda: td.k_deck(td.CyclicFunction.of([Fraction(1, 3**30), 0]), 3),
+        lambda: td.k_deck(td.CyclicFunction.of(  # object entries
+            [f"{10**12 + 1}/3", 1, "2/9", 0]), 3),
+        lambda: td.three_deck_fft(td.CyclicFunction.of([2, "1/3", 0, 7])),
+        lambda: td.KDeck(2, 3, np.array([[0.0, -0.0], [1.5, 0.0]])),
+    ])
+    def test_to_json_is_the_plain_encoding(self, deck):
+        d = deck()
+        flat = d.values.reshape(-1).tolist()
+        if d.exact:
+            flat = [int(q) if q.denominator == 1 else str(q)
+                    for q in (Fraction(x, d.denominator) for x in flat)]
+        plain = {"n": d.n, "k": d.k, "convention": "positive-exponent",
+                 "values": flat}
+        text = json.dumps(plain, indent=2, sort_keys=True)
+        assert d.to_json() == text
+        assert json.dumps(d.to_json_dict(), indent=2, sort_keys=True) == text
+
     @pytest.mark.parametrize("d", [
         {"n": 2, "values": [1, 2, 3, 4]},  # no k
         {"k": 3, "values": [1, 2, 3, 4]},  # no n
