@@ -186,7 +186,7 @@ class TestKDeck:
             [f"{10**12 + 1}/3", 1, "2/9", 0]), 3),
         lambda: td.three_deck_fft(td.CyclicFunction.of([2, "1/3", 0, 7])),
         lambda: td.KDeck(2, 3, np.array([[0.0, -0.0], [1.5, 0.0]])),
-    ])
+    ], ids=["int64", "int64-over-3^90", "object", "fft", "signed-zero"])
     def test_to_json_is_the_plain_encoding(self, deck):
         d = deck()
         flat = d.values.reshape(-1).tolist()
@@ -198,6 +198,10 @@ class TestKDeck:
         text = json.dumps(plain, indent=2, sort_keys=True)
         assert d.to_json() == text
         assert json.dumps(d.to_json_dict(), indent=2, sort_keys=True) == text
+
+    def test_modulus_below_one_rejected(self):
+        with pytest.raises(DomainError):
+            td.KDeck(0, 3, np.zeros((0, 0), dtype=np.int64), 1)
 
     @pytest.mark.parametrize("d", [
         {"n": 2, "values": [1, 2, 3, 4]},  # no k
