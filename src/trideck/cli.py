@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .cyclic import CyclicFunction, bispectrum, k_deck
+from .cyclic import CyclicFunction, KDeck, bispectrum, k_deck
 from .cyclotomic import classify_zero_pattern, zero_set
 from .determinacy import (exhaustive_determinacy, gm_counterexample,
                           survey_zero_proportion, verify_all_k_uniqueness)
@@ -65,10 +65,6 @@ class RunManifest:
 # ---------------------------------------------------------------------------
 # Argument helpers.
 
-def _rat(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def _int_list(s: str) -> list[int]:
     s = s.strip()
     if not s:
@@ -81,13 +77,13 @@ def _rat_list(s: str) -> list[Fraction]:
 
 
 def _function_from_args(args) -> CyclicFunction:
-    if getattr(args, "values", None) is not None:
+    if args.values is not None:
         vals = _rat_list(args.values)
         n = args.n if args.n is not None else len(vals)
         if n != len(vals):
             raise TrideckError(f"--n {n} but {len(vals)} values given")
         return CyclicFunction.of(vals, n)
-    if getattr(args, "set", None) is not None:
+    if args.set is not None:
         if args.n is None:
             raise TrideckError("--set requires --n")
         return CyclicFunction.indicator(args.n, _int_list(args.set))
@@ -120,7 +116,6 @@ def _cmd_bispectrum(args):
 
 def _cmd_reconstruct(args):
     if args.deck is not None:
-        from .cyclic import KDeck
         with open(args.deck) as fh:
             deck = KDeck.from_json_dict(json.load(fh))
     else:
@@ -129,14 +124,10 @@ def _cmd_reconstruct(args):
 
 
 def _cmd_zeros(args):
-    if args.n is None:
-        raise TrideckError("--n is required")
     return zero_set(args.n, _int_list(args.set)).to_json_dict(), None
 
 
 def _cmd_classify(args):
-    if args.n is None:
-        raise TrideckError("--n is required")
     pattern = zero_set(args.n, _int_list(args.set))
     return classify_zero_pattern(args.n, pattern).to_json_dict(), None
 
@@ -156,8 +147,6 @@ def _cmd_survey(args):
 
 
 def _cmd_allk(args):
-    if args.n is None:
-        raise TrideckError("--n is required")
     f = CyclicFunction.indicator(args.n, _int_list(args.set))
     g = CyclicFunction.indicator(args.n, _int_list(args.other))
     res = verify_all_k_uniqueness(f, g, args.kmax, args.budget)
@@ -166,8 +155,8 @@ def _cmd_allk(args):
 
 def _cmd_intervals_deck(args):
     E = _interval_set(args.set)
-    val = triple_correlation_exact(E, _rat(args.x), _rat(args.y))
-    gap = gap_functional(E, _rat(args.x), _rat(args.y))
+    val = triple_correlation_exact(E, Fraction(args.x), Fraction(args.y))
+    gap = gap_functional(E, Fraction(args.x), Fraction(args.y))
     return {"N": str(val), "G": str(gap)}, None
 
 
@@ -177,18 +166,18 @@ def _cmd_intervals_gaps(args):
 
 def _cmd_intervals_ddx(args):
     E = _interval_set(args.set)
-    return {"ddx": partial_x_deck(E, _rat(args.x), _rat(args.y))}, None
+    return {"ddx": partial_x_deck(E, Fraction(args.x), Fraction(args.y))}, None
 
 
 def _cmd_intervals_translate(args):
     E = _interval_set(args.set)
     F = _interval_set(args.other)
-    shift = translate_equal_sets(E, F, _rat(args.tol))
+    shift = translate_equal_sets(E, F, Fraction(args.tol))
     return {"shift": None if shift is None else str(shift)}, None
 
 
 def _pair_summary(f: SampledFunction, g: SampledFunction, args):
-    m = int(round(float(_rat(args.max_x)) / f.h))
+    m = int(round(float(Fraction(args.max_x)) / f.h))
     Nf = three_deck_grid(f, m, args.stride, args.budget)
     Ng = three_deck_grid(g, m, args.stride, args.budget)
     scale = float(np.max(np.abs(Nf.values)))
@@ -201,7 +190,7 @@ def _pair_summary(f: SampledFunction, g: SampledFunction, args):
 
 
 def _cmd_rline_cospair(args):
-    h = float(_rat(args.h))
+    h = float(Fraction(args.h))
     f, g = cos_pair(args.k, h, args.half_width, args.tail_tol)
     out = _pair_summary(f, g, args)
     if args.save_prefix:
@@ -213,9 +202,9 @@ def _cmd_rline_cospair(args):
 
 
 def _cmd_rline_riesz(args):
-    h = float(_rat(args.h))
+    h = float(Fraction(args.h))
     f, g = riesz_pair(_int_list(args.signs),
-                      [float(_rat(a)) for a in args.amps.split(",")],
+                      [float(Fraction(a)) for a in args.amps.split(",")],
                       args.k, h, args.half_width, args.tail_tol)
     return _pair_summary(f, g, args), None
 
@@ -236,8 +225,6 @@ def _random_step(rng, h: float, length: int) -> SampledFunction:
 
 
 def _cmd_rline_norms(args):
-    if args.suite != "default":
-        raise TrideckError(f"unknown suite {args.suite!r}")
     rng = np.random.Generator(np.random.Philox(args.seed))
     h, length = 1 / 64, 128
     configs = [("1", ("1", "1", "1")),
@@ -260,9 +247,9 @@ def _cmd_rline_continuity(args):
     if args.infile is not None:
         f = SampledFunction.load_csv(args.infile)
     else:
-        h = float(_rat(args.h))
+        h = float(Fraction(args.h))
         f = SampledFunction(h, 0.0, np.ones(int(round(1 / h))))
-    radii = [float(_rat(r)) for r in args.radii.split(",")]
+    radii = [float(Fraction(r)) for r in args.radii.split(",")]
     devs = continuity_probe(f, args.k, radii)
     return {"k": args.k, "limit": f.riemann(args.k + 1),
             "deviations": [[r, d] for r, d in devs]}, None
@@ -271,16 +258,33 @@ def _cmd_rline_continuity(args):
 # ---------------------------------------------------------------------------
 # Parser construction and dispatch.
 
-def _add_common(p):
+def _finish(p, func, budget=False):
+    """Add --out (and --budget, for handlers that pass it on) to a leaf
+    parser and bind its handler."""
     p.add_argument("--out", help="write the result JSON/CSV here")
-    p.add_argument("--budget", type=int, default=None,
-                   help="override the compute budget")
+    if budget:
+        p.add_argument("--budget", type=int, default=None,
+                       help="override the compute budget")
+    p.set_defaults(func=func)
 
 
 def _add_function_args(p):
+    """--n, and at most one of --set and --values; returns their group."""
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--set", help="comma-separated subset of Z/nZ")
-    p.add_argument("--values", help="comma-separated rational values")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--set", help="comma-separated subset of Z/nZ")
+    source.add_argument("--values", help="comma-separated rational values")
+    return source
+
+
+def _add_pair_args(p):
+    """The grid and deck-comparison arguments of a real-line pair."""
+    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--h", default="1/256")
+    p.add_argument("--half-width", type=float, default=64.0)
+    p.add_argument("--tail-tol", type=float, default=1e-2)
+    p.add_argument("--max-x", default="2", help="deck comparison window")
+    p.add_argument("--stride", type=int, default=32)
 
 
 def build_parser() -> _Parser:
@@ -293,42 +297,34 @@ def build_parser() -> _Parser:
     _add_function_args(p)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_common(p)
-    p.set_defaults(func=_cmd_deck)
+    _finish(p, _cmd_deck, budget=True)
 
     p = sub.add_parser("bispectrum")
     _add_function_args(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_bispectrum)
+    _finish(p, _cmd_bispectrum)
 
     p = sub.add_parser("reconstruct")
-    _add_function_args(p)
-    p.add_argument("--deck", help="path to a 3-deck JSON file")
-    _add_common(p)
-    p.set_defaults(func=_cmd_reconstruct)
+    _add_function_args(p).add_argument(
+        "--deck", help="path to a 3-deck JSON file")
+    _finish(p, _cmd_reconstruct, budget=True)
 
-    p = sub.add_parser("zeros")
-    _add_function_args(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_zeros)
-
-    p = sub.add_parser("classify")
-    _add_function_args(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_classify)
+    for name, func in (("zeros", _cmd_zeros), ("classify", _cmd_classify)):
+        p = sub.add_parser(name)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--set", required=True,
+                       help="comma-separated subset of Z/nZ")
+        _finish(p, func)
 
     p = sub.add_parser("sweep")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=3)
-    _add_common(p)
-    p.set_defaults(func=_cmd_sweep)
+    _finish(p, _cmd_sweep, budget=True)
 
     p = sub.add_parser("gm")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_gm)
+    _finish(p, _cmd_gm)
 
     p = sub.add_parser("survey")
     p.add_argument("--n", type=int, required=True)
@@ -336,16 +332,14 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=("auto", "exhaustive", "sampled"),
                    default="auto")
-    _add_common(p)
-    p.set_defaults(func=_cmd_survey)
+    _finish(p, _cmd_survey)
 
     p = sub.add_parser("allk")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--set", required=True)
     p.add_argument("--other", required=True)
     p.add_argument("--kmax", type=int, default=4)
-    _add_common(p)
-    p.set_defaults(func=_cmd_allk)
+    _finish(p, _cmd_allk, budget=True)
 
     iv = sub.add_parser("intervals")
     ivs = iv.add_subparsers(dest="subcommand", required=True,
@@ -355,67 +349,47 @@ def build_parser() -> _Parser:
                    help="IntervalSet JSON (inline or a file path)")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_intervals_deck)
+    _finish(p, _cmd_intervals_deck)
     p = ivs.add_parser("gaps")
     p.add_argument("--set", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_intervals_gaps)
+    _finish(p, _cmd_intervals_gaps)
     p = ivs.add_parser("ddx")
     p.add_argument("--set", required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_intervals_ddx)
+    _finish(p, _cmd_intervals_ddx)
     p = ivs.add_parser("translate")
     p.add_argument("--set", required=True)
     p.add_argument("--other", required=True)
     p.add_argument("--tol", default="0")
-    _add_common(p)
-    p.set_defaults(func=_cmd_intervals_translate)
+    _finish(p, _cmd_intervals_translate)
 
     rl = sub.add_parser("rline")
     rls = rl.add_subparsers(dest="subcommand", required=True,
                             parser_class=_Parser)
     p = rls.add_parser("cospair")
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--h", default="1/256")
-    p.add_argument("--half-width", type=float, default=64.0)
-    p.add_argument("--tail-tol", type=float, default=1e-2)
-    p.add_argument("--max-x", default="2", help="deck comparison window")
-    p.add_argument("--stride", type=int, default=32)
+    _add_pair_args(p)
     p.add_argument("--save-prefix")
-    _add_common(p)
-    p.set_defaults(func=_cmd_rline_cospair)
+    _finish(p, _cmd_rline_cospair, budget=True)
     p = rls.add_parser("riesz")
     p.add_argument("--signs", required=True, help="e.g. 1,-1")
     p.add_argument("--amps", required=True, help="e.g. 1/2,1/4")
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--h", default="1/256")
-    p.add_argument("--half-width", type=float, default=64.0)
-    p.add_argument("--tail-tol", type=float, default=1e-2)
-    p.add_argument("--max-x", default="2")
-    p.add_argument("--stride", type=int, default=32)
-    _add_common(p)
-    p.set_defaults(func=_cmd_rline_riesz)
+    _add_pair_args(p)
+    _finish(p, _cmd_rline_riesz, budget=True)
     p = rls.add_parser("stability")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--tol", type=float, default=1e-6)
-    _add_common(p)
-    p.set_defaults(func=_cmd_rline_stability)
+    _finish(p, _cmd_rline_stability)
     p = rls.add_parser("norms")
-    p.add_argument("--suite", default="default")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--draws", type=int, default=200)
-    _add_common(p)
-    p.set_defaults(func=_cmd_rline_norms)
+    _finish(p, _cmd_rline_norms, budget=True)
     p = rls.add_parser("continuity")
     p.add_argument("--in", dest="infile", default=None)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--h", default="1/256")
     p.add_argument("--radii", default="0.2,0.1,0.05,0.025")
-    _add_common(p)
-    p.set_defaults(func=_cmd_rline_continuity)
+    _finish(p, _cmd_rline_continuity)
 
     return top
 

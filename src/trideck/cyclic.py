@@ -79,9 +79,8 @@ class CyclicFunction:
                             for j in range(n)))
 
     @classmethod
-    def from_floats(cls, values: Sequence[float],
-                    max_denominator: int = 10**9) -> "CyclicFunction":
-        vals = tuple(Fraction(float(v)).limit_denominator(max_denominator)
+    def from_floats(cls, values: Sequence[float]) -> "CyclicFunction":
+        vals = tuple(Fraction(float(v)).limit_denominator(10**9)
                      for v in values)
         return cls(len(vals), vals)
 
@@ -343,17 +342,14 @@ def equal_up_to_translation(f: CyclicFunction,
     return None
 
 
-def deck_equal(d1: KDeck, d2: KDeck, tol=0) -> bool:
+def deck_equal(d1: KDeck, d2: KDeck) -> bool:
     if (d1.n, d1.k) != (d2.n, d2.k):
         raise ShapeMismatchError(
             f"deck parameters differ: {(d1.n, d1.k)} != {(d2.n, d2.k)}")
-    if tol < 0:
-        raise DomainError("tolerance must be nonnegative")
-    if tol == 0 and d1.exact and d2.exact:  # both in lowest terms
+    if d1.exact and d2.exact:  # both in lowest terms
         return (d1.denominator == d2.denominator
                 and bool(np.array_equal(d1.values, d2.values)))
-    diff = np.abs(d1.as_floats() - d2.as_floats())
-    return bool(np.max(diff) <= tol) if diff.size else True
+    return bool(np.array_equal(d1.as_floats(), d2.as_floats()))
 
 
 def canonical_rotation(f: CyclicFunction) -> tuple[CyclicFunction, int]:

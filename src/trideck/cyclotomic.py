@@ -94,6 +94,8 @@ def cyclotomic(m: int) -> tuple[int, ...]:
 # Spectral zeros.
 
 def _subset_poly(n: int, E: Iterable[int]) -> tuple[int, ...]:
+    if n < 1:
+        raise DomainError(f"modulus must be >= 1, got {n}")
     coeffs = [0] * n
     for j in E:
         coeffs[j % n] += 1

@@ -12,19 +12,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from .cyclic import _as_fraction
 from .errors import DomainError
-
-Rat = Fraction
-
-
-def _rat(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x).limit_denominator(10**12)
-    raise DomainError(f"cannot interpret {x!r} as a rational endpoint")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -46,19 +35,19 @@ class IntervalSet:
 
     @classmethod
     def of(cls, pairs: Iterable) -> "IntervalSet":
-        return cls(tuple((_rat(a), _rat(b)) for a, b in pairs))
+        return cls(tuple((_as_fraction(a), _as_fraction(b)) for a, b in pairs))
 
     @property
     def measure(self) -> Fraction:
         return sum((b - a for a, b in self.intervals), Fraction(0))
 
     def translate(self, a) -> "IntervalSet":
-        a = _rat(a)
+        a = _as_fraction(a)
         return IntervalSet(tuple((lo + a, hi + a) for lo, hi in self.intervals))
 
     def contains(self, t) -> bool:
         """Open-interval membership; endpoints count as outside."""
-        t = _rat(t)
+        t = _as_fraction(t)
         for a, b in self.intervals:
             if a < t < b:
                 return True
@@ -112,7 +101,7 @@ def _intersect(a: Sequence[tuple[Fraction, Fraction]],
 
 def triple_correlation_exact(E: IntervalSet, x, y) -> Fraction:
     """N_E(x,y) = |E cap (E-x) cap (E-y)|, exact."""
-    x, y = _rat(x), _rat(y)
+    x, y = _as_fraction(x), _as_fraction(y)
     cur = _intersect(E.intervals, E.translate(-x).intervals)
     cur = _intersect(cur, E.translate(-y).intervals)
     return sum((b - a for a, b in cur), Fraction(0))
@@ -140,7 +129,7 @@ def partial_x_deck(E: IntervalSet, x, y) -> int:
     """Boundary formula for d/dx N_E(x,y) in the regime -Gamma_E < x < 0:
     counts intervals longer than |x| whose shifted left endpoint a_k - x + y
     lies in E."""
-    x, y = _rat(x), _rat(y)
+    x, y = _as_fraction(x), _as_fraction(y)
     prof = gap_profile(E)
     if not (x < 0 and (prof.min_gap is None or -x < prof.min_gap)):
         raise DomainError(
@@ -155,7 +144,7 @@ def partial_x_deck(E: IntervalSet, x, y) -> int:
 def translate_equal_sets(E: IntervalSet, F: IntervalSet,
                          tol=0) -> Optional[Fraction]:
     """Shift a with F = E - a up to endpoint tolerance tol, else None."""
-    tol = _rat(tol)
+    tol = _as_fraction(tol)
     if len(E.intervals) != len(F.intervals):
         return None
     if not E.intervals:

@@ -324,6 +324,9 @@ def continuity_probe(f: SampledFunction, k: int,
     if k < 1:
         raise DomainError("k must be >= 1")
     limit = f.riemann(k + 1)
+    # each probe value is at most the limit, by Holder's inequality
+    if not math.isfinite(limit):
+        raise DomainError("the sample integrals overflow float64")
     out = []
     for rho in radii:
         m = int(round(rho / f.h))

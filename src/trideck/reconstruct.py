@@ -27,14 +27,15 @@ from .errors import DomainError, InconsistentBispectrumError
 
 SUPPORT_REL_TOL = 1e-8
 RESIDUAL_REL_TOL = 1e-6
+DIAGONAL_REL_TOL = 1e-9
 
 TWO_PI = 2 * np.pi
 
 
 @dataclasses.dataclass(frozen=True)
 class PhaseAssignment:
-    """Unimodular spectrum phases xi(l) on the reached support, the integer
-    gauge weights mu(l), the propagation trace, and any unreached indices.
+    """Unimodular spectrum phases xi(l) on the reached support, the
+    propagation trace, and any unreached indices.
 
     xi(0) = 1 and xi(n-l) = conj(xi(l)) on the reached support; the ratio of
     any two consistent assignments is multiplicative over in-support sums.
@@ -42,8 +43,6 @@ class PhaseAssignment:
 
     n: int
     xi: dict[int, complex]
-    mu: dict[int, int]
-    gauge: str
     trace: tuple[dict, ...]
     unreached: frozenset[int]
 
@@ -60,7 +59,6 @@ class ReconstructionReport:
     uniqueness: Uniqueness
     gauge_shift: int
     trace: tuple[dict, ...]
-    phases: Optional[PhaseAssignment] = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -73,11 +71,12 @@ class ReconstructionReport:
         }
 
 
-def magnitudes_from_bispectrum(B: Bispectrum,
-                               tol: float = 1e-9) -> np.ndarray:
+def magnitudes_from_bispectrum(B: Bispectrum) -> np.ndarray:
     """|fhat(l)| from the diagonal: fhat(0) = B(0,0)^(1/3) and
-    |fhat(l)|^2 = B(l,-l) / fhat(0)."""
+    |fhat(l)|^2 = B(l,-l) / fhat(0), each checked real and nonnegative to
+    DIAGONAL_REL_TOL of max(max|B|, 1)."""
     n = B.n
+    tol = DIAGONAL_REL_TOL
     scale = max(float(np.max(np.abs(B.values))), 1.0)
     b00 = B[0, 0]
     if abs(b00.imag) > tol * scale or b00.real < -tol * scale:
@@ -128,11 +127,9 @@ def propagate_phases(support, B: Bispectrum) -> PhaseAssignment:
     if 0 in targets:
         xi[0], known[0] = 1.0, True
     nonzero = [l for l in targets if l]
-    gauge = "xi(0)=1"
     if nonzero:
         s = nonzero[0]
         xi[s], mu[s], known[s] = 1.0, 1, True
-        gauge = f"xi(0)=1, xi({s})=1 seed"
 
     # Targets in increasing order; a further pass picks up the targets that
     # only wrap-around pairs, or pairs reached later, can reach.
@@ -190,7 +187,6 @@ def propagate_phases(support, B: Bispectrum) -> PhaseAssignment:
             "phase propagation found contradictory cycles; the input is "
             "not a genuine bispectrum of a real nonnegative function")
     return PhaseAssignment(n, {int(l): complex(xi[l]) for l in r},
-                           {int(l): int(mu[l]) for l in r}, gauge,
                            tuple(trace), frozenset(targets) - set(r.tolist()))
 
 
@@ -246,7 +242,7 @@ def reconstruct_from_deck(deck: KDeck) -> ReconstructionReport:
         canon, shift = canonical_rotation(cand)
         return ReconstructionReport((canon,),
                                     Uniqueness("UniqueUpToTranslation"),
-                                    shift, pa.trace, pa)
+                                    shift, pa.trace)
 
     fact = _factorize(n)
     if len(fact) == 2 and all(a == 1 for a in fact.values()):
@@ -256,9 +252,8 @@ def reconstruct_from_deck(deck: KDeck) -> ReconstructionReport:
             if cands is not None:
                 return ReconstructionReport(
                     tuple(cands), Uniqueness("FiniteFamily", len(cands)),
-                    0, pa.trace, pa)
-    return ReconstructionReport((), Uniqueness("Indeterminate"), 0,
-                                pa.trace, pa)
+                    0, pa.trace)
+    return ReconstructionReport((), Uniqueness("Indeterminate"), 0, pa.trace)
 
 
 def _pq_family(deck: KDeck, p: int,

@@ -44,6 +44,19 @@ class TestExitCodes:
         assert run(capsys)[0] == EXIT_USAGE
         assert run(capsys, "deck", "--bogus-flag")[0] == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ["zeros", "--n", "5"],
+        ["gm", "--p", "2", "--q", "3", "--r", "3", "--budget", "1"],
+        ["zeros", "--n", "5", "--set", "0,1", "--values", "1"],
+        ["rline", "norms", "--suite", "default"],
+        ["deck", "--set", "0,1", "--values", "1,2"],
+        ["reconstruct", "--deck", "d.json", "--values", "1,2"],
+    ])
+    def test_unread_and_conflicting_flags(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert "error:" in err and "usage: trideck" in err
+
 
 class TestSubcommands:
     def test_deck_rational_values(self, capsys):
@@ -131,8 +144,8 @@ class TestSubcommands:
         assert code == EXIT_OK and json.loads(out)["is_indicator_like"]
 
     def test_rline_norms(self, capsys):
-        code, out, _ = run(capsys, "rline", "norms", "--suite", "default",
-                           "--seed", "7", "--draws", "10")
+        code, out, _ = run(capsys, "rline", "norms", "--seed", "7",
+                           "--draws", "10")
         assert code == EXIT_OK and json.loads(out)["violations"] == 0
 
     def test_rline_continuity(self, capsys):
@@ -210,20 +223,39 @@ class TestMalformedInput:
         code, _, err = run(capsys, "reconstruct", "--deck", str(p))
         assert code == EXIT_DOMAIN and "keys n, k and values" in err
 
+    @pytest.mark.parametrize("command", ["zeros", "classify"])
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_modulus_below_one(self, capsys, command, n):
+        code, out, err = run(capsys, command, "--n", n, "--set", "0")
+        assert code == EXIT_DOMAIN and out == ""
+        assert "modulus must be >= 1" in err
+
     def test_stability_rejects_nan(self, capsys, tmp_path):
         p = tmp_path / "g.csv"
         p.write_text("0.125,0.0,3\n1.0\nnan\n1.0\n")
         code, out, err = run(capsys, "rline", "stability", "--in", str(p))
         assert code == EXIT_DOMAIN and out == "" and "finite" in err
 
-    def test_stability_overflow_is_one_error_line(self, tmp_path):
+    @staticmethod
+    def _run_on_overflowing_csv(tmp_path, subcommand):
+        """`trideck rline SUBCOMMAND --in` on samples holding 1e200, in a
+        fresh interpreter, so that any warning numpy prints shows."""
         p = tmp_path / "g.csv"
         p.write_text("0.125,0.0,3\n1.0\n1e200\n1.0\n")
         src = os.path.dirname(os.path.dirname(trideck.__file__))
-        done = subprocess.run(
-            [sys.executable, "-m", "trideck.cli", "rline", "stability",
+        return subprocess.run(
+            [sys.executable, "-m", "trideck.cli", "rline", subcommand,
              "--in", str(p)], capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": src})
+
+    def test_stability_overflow_is_one_error_line(self, tmp_path):
+        done = self._run_on_overflowing_csv(tmp_path, "stability")
+        assert done.returncode == EXIT_DOMAIN and done.stdout == ""
+        assert done.stderr == \
+            "trideck: error: the sample integrals overflow float64\n"
+
+    def test_continuity_overflow_is_one_error_line(self, tmp_path):
+        done = self._run_on_overflowing_csv(tmp_path, "continuity")
         assert done.returncode == EXIT_DOMAIN and done.stdout == ""
         assert done.stderr == \
             "trideck: error: the sample integrals overflow float64\n"

@@ -207,6 +207,11 @@ class TestContinuity:
         (_, dev), = td.continuity_probe(f, 2, [0.0])
         assert dev == 0.0
 
+    def test_overflow_is_a_domain_error(self):
+        f = td.SampledFunction(1 / 8, 0.0, np.array([1.0, 1e200, 1.0]))
+        with pytest.raises(DomainError, match="overflow"):
+            td.continuity_probe(f, 2, [0.25])
+
     def test_long_plateau_boundary_effect(self):
         f = td.SampledFunction(1 / 64, 0.0, np.ones(64 * 8))  # chi_[0,8]
         (_, dev), = td.continuity_probe(f, 2, [0.1])

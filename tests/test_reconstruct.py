@@ -264,8 +264,8 @@ class TestReconstructFromDeck:
         # deck leaves the phase of fhat(1) free and every phase gives the
         # same deck; the report says Indeterminate instead of raising
         g = [1 + 0.5 * np.cos(2 * np.pi * j / 5) for j in range(5)]
-        f = td.CyclicFunction.from_floats(
-            [g[j % 5] + (0, 2, 1)[j % 3] for j in range(15)], 10**12)
+        f = td.CyclicFunction.of(
+            [g[j % 5] + (0, 2, 1)[j % 3] for j in range(15)])
         rep = td.reconstruct_from_deck(td.three_deck_fft(f))
         assert rep.uniqueness.kind == "Indeterminate"
 
