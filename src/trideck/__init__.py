@@ -24,8 +24,7 @@ from .realline import (GridDeck, NormTestResult, SampledFunction,
                        StabilityReport, continuity_probe, cos_pair, deck_at,
                        indicator_stability_check, norm_inequality_test,
                        riesz_pair, sample_interval_indicator,
-                       shift_scan_distance, three_deck_grid,
-                       three_deck_grid_fft)
+                       shift_scan_distance, three_deck_grid)
 from .reconstruct import (PhaseAssignment, ReconstructionReport, Uniqueness,
                           magnitudes_from_bispectrum, propagate_phases,
                           reconstruct_from_deck, solutions_pq)

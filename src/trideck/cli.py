@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
+from .config import compute_budget
 from .cyclic import CyclicFunction, KDeck, bispectrum, k_deck
 from .cyclotomic import classify_zero_pattern, zero_set
 from .determinacy import (exhaustive_determinacy, gm_counterexample,
@@ -72,22 +73,17 @@ def _int_list(s: str) -> list[int]:
     return [int(t) for t in s.split(",")]
 
 
-def _rat_list(s: str) -> list[Fraction]:
-    return [Fraction(t) for t in s.split(",")]
-
-
 def _function_from_args(args) -> CyclicFunction:
+    """The function --values gives, or the indicator of --set in Z/nZ."""
     if args.values is not None:
-        vals = _rat_list(args.values)
-        n = args.n if args.n is not None else len(vals)
-        if n != len(vals):
-            raise TrideckError(f"--n {n} but {len(vals)} values given")
-        return CyclicFunction.of(vals, n)
-    if args.set is not None:
-        if args.n is None:
-            raise TrideckError("--set requires --n")
-        return CyclicFunction.indicator(args.n, _int_list(args.set))
-    raise TrideckError("one of --set or --values is required")
+        vals = [Fraction(t) for t in args.values.split(",")]
+        if args.n not in (None, len(vals)):
+            _leaf_parser(_words(args)).error(
+                f"--n {args.n} but {len(vals)} values given")
+        return CyclicFunction.of(vals)
+    if args.n is None:
+        _leaf_parser(_words(args)).error("--set requires --n")
+    return CyclicFunction.indicator(args.n, _int_list(args.set))
 
 
 def _interval_set(spec: str) -> IntervalSet:
@@ -248,7 +244,10 @@ def _cmd_rline_continuity(args):
         f = SampledFunction.load_csv(args.infile)
     else:
         h = float(Fraction(args.h))
-        f = SampledFunction(h, 0.0, np.ones(int(round(1 / h))))
+        samples = 1 / h
+        if samples > compute_budget():  # also inf, which round() refuses
+            raise BudgetError(f"grid of {samples:.6g} samples exceeds budget")
+        f = SampledFunction(h, 0.0, np.ones(int(round(samples))))
     radii = [float(Fraction(r)) for r in args.radii.split(",")]
     devs = continuity_probe(f, args.k, radii)
     return {"k": args.k, "limit": f.riemann(args.k + 1),
@@ -256,150 +255,149 @@ def _cmd_rline_continuity(args):
 
 
 # ---------------------------------------------------------------------------
-# Parser construction and dispatch.
+# The command tree and dispatch.
 
-def _finish(p, func, budget=False):
-    """Add --out (and --budget, for handlers that pass it on) to a leaf
-    parser and bind its handler."""
-    p.add_argument("--out", help="write the result JSON/CSV here")
-    if budget:
-        p.add_argument("--budget", type=int, default=None,
-                       help="override the compute budget")
-    p.set_defaults(func=func)
+_REQUIRED = {"required": True}
+_REQUIRED_INT = {"type": int, "required": True}
+_SUBSET = {"help": "comma-separated subset of Z/nZ"}
+_K3 = ("--k", {"type": int, "default": 3})
+_OUT = ("--out", {"help": "write the result JSON/CSV here"})
+_BUDGET = ("--budget", {"type": int, "help": "override the compute budget"})
+_SOURCE = [("--set", _SUBSET),
+           ("--values", {"help": "comma-separated rational values"})]
+_ZEROS = [("--n", _REQUIRED_INT), ("--set", {**_SUBSET, **_REQUIRED}),
+          _OUT]
+_PAIR = [_K3, ("--h", {"default": "1/256"}),
+         ("--half-width", {"type": float, "default": 64.0}),
+         ("--tail-tol", {"type": float, "default": 1e-2}),
+         ("--max-x", {"default": "2", "help": "deck comparison window"}),
+         ("--stride", {"type": int, "default": 32})]
+
+# Every command, in the order `trideck --help` lists them.  A dict is a
+# group of subcommands; a list holds a leaf's options as (flag, keywords of
+# add_argument), and a list inside it is a mutually exclusive group of which
+# one option is required.  Only the handlers that pass a compute budget on
+# take --budget.
+COMMANDS = {
+    "deck": [("--n", {"type": int}), _SOURCE, _K3,
+             ("--format", {"choices": ("json", "csv"), "default": "json"}),
+             _OUT, _BUDGET],
+    "bispectrum": [("--n", {"type": int}), _SOURCE, _OUT],
+    "reconstruct": [("--n", {"type": int}),
+                    _SOURCE + [("--deck",
+                                {"help": "path to a 3-deck JSON file"})],
+                    _OUT, _BUDGET],
+    "zeros": _ZEROS,
+    "classify": _ZEROS,
+    "sweep": [("--n", _REQUIRED_INT), _K3, _OUT, _BUDGET],
+    "gm": [("--p", _REQUIRED_INT), ("--q", _REQUIRED_INT),
+           ("--r", _REQUIRED_INT), _OUT],
+    "survey": [("--n", _REQUIRED_INT), ("--samples", {"type": int}),
+               ("--seed", {"type": int, "default": 0}),
+               ("--mode", {"choices": ("auto", "exhaustive", "sampled"),
+                           "default": "auto"}), _OUT],
+    "allk": [("--n", _REQUIRED_INT), ("--set", _REQUIRED),
+             ("--other", _REQUIRED), ("--kmax", {"type": int, "default": 4}),
+             _OUT, _BUDGET],
+    "intervals": {
+        "deck": [("--set", {"required": True, "help":
+                            "IntervalSet JSON (inline or a file path)"}),
+                 ("--x", _REQUIRED), ("--y", _REQUIRED), _OUT],
+        "gaps": [("--set", _REQUIRED), _OUT],
+        "ddx": [("--set", _REQUIRED), ("--x", _REQUIRED),
+                ("--y", _REQUIRED), _OUT],
+        "translate": [("--set", _REQUIRED), ("--other", _REQUIRED),
+                      ("--tol", {"default": "0"}), _OUT],
+    },
+    "rline": {
+        "cospair": [*_PAIR, ("--save-prefix", {}), _OUT, _BUDGET],
+        "riesz": [("--signs", {"required": True, "help": "e.g. 1,-1"}),
+                  ("--amps", {"required": True, "help": "e.g. 1/2,1/4"}),
+                  *_PAIR, _OUT, _BUDGET],
+        "stability": [("--in", {"dest": "infile", "required": True}),
+                      ("--tol", {"type": float, "default": 1e-6}), _OUT],
+        "norms": [("--seed", {"type": int, "default": 7}),
+                  ("--draws", {"type": int, "default": 200}),
+                  _OUT, _BUDGET],
+        "continuity": [("--in", {"dest": "infile"}),
+                       ("--k", {"type": int, "default": 2}),
+                       ("--h", {"default": "1/256"}),
+                       ("--radii", {"default": "0.2,0.1,0.05,0.025"}), _OUT],
+    },
+}
 
 
-def _add_function_args(p):
-    """--n, and at most one of --set and --values; returns their group."""
-    p.add_argument("--n", type=int, default=None)
-    source = p.add_mutually_exclusive_group()
-    source.add_argument("--set", help="comma-separated subset of Z/nZ")
-    source.add_argument("--values", help="comma-separated rational values")
-    return source
-
-
-def _add_pair_args(p):
-    """The grid and deck-comparison arguments of a real-line pair."""
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--h", default="1/256")
-    p.add_argument("--half-width", type=float, default=64.0)
-    p.add_argument("--tail-tol", type=float, default=1e-2)
-    p.add_argument("--max-x", default="2", help="deck comparison window")
-    p.add_argument("--stride", type=int, default=32)
+def _add_leaf(p: _Parser, words, options) -> _Parser:
+    """Add a leaf's options to its parser and bind its handler."""
+    for opt in options:
+        if isinstance(opt, list):
+            group = p.add_mutually_exclusive_group(required=True)
+            for flag, kw in opt:
+                group.add_argument(flag, **kw)
+        else:
+            p.add_argument(opt[0], **opt[1])
+    # looked up now, not at import, so that a rebound _cmd_* is the one run
+    p.set_defaults(func=globals()["_cmd_" + "_".join(words)])
+    return p
 
 
 def build_parser() -> _Parser:
+    """The parser of every command."""
     top = _Parser(prog="trideck",
                   description="k-decks, bispectra and reconstruction")
     sub = top.add_subparsers(dest="command", required=True,
                              parser_class=_Parser)
-
-    p = sub.add_parser("deck")
-    _add_function_args(p)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    _finish(p, _cmd_deck, budget=True)
-
-    p = sub.add_parser("bispectrum")
-    _add_function_args(p)
-    _finish(p, _cmd_bispectrum)
-
-    p = sub.add_parser("reconstruct")
-    _add_function_args(p).add_argument(
-        "--deck", help="path to a 3-deck JSON file")
-    _finish(p, _cmd_reconstruct, budget=True)
-
-    for name, func in (("zeros", _cmd_zeros), ("classify", _cmd_classify)):
+    for name, node in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--set", required=True,
-                       help="comma-separated subset of Z/nZ")
-        _finish(p, func)
-
-    p = sub.add_parser("sweep")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=3)
-    _finish(p, _cmd_sweep, budget=True)
-
-    p = sub.add_parser("gm")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    _finish(p, _cmd_gm)
-
-    p = sub.add_parser("survey")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=("auto", "exhaustive", "sampled"),
-                   default="auto")
-    _finish(p, _cmd_survey)
-
-    p = sub.add_parser("allk")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--set", required=True)
-    p.add_argument("--other", required=True)
-    p.add_argument("--kmax", type=int, default=4)
-    _finish(p, _cmd_allk, budget=True)
-
-    iv = sub.add_parser("intervals")
-    ivs = iv.add_subparsers(dest="subcommand", required=True,
-                            parser_class=_Parser)
-    p = ivs.add_parser("deck")
-    p.add_argument("--set", required=True,
-                   help="IntervalSet JSON (inline or a file path)")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    _finish(p, _cmd_intervals_deck)
-    p = ivs.add_parser("gaps")
-    p.add_argument("--set", required=True)
-    _finish(p, _cmd_intervals_gaps)
-    p = ivs.add_parser("ddx")
-    p.add_argument("--set", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    _finish(p, _cmd_intervals_ddx)
-    p = ivs.add_parser("translate")
-    p.add_argument("--set", required=True)
-    p.add_argument("--other", required=True)
-    p.add_argument("--tol", default="0")
-    _finish(p, _cmd_intervals_translate)
-
-    rl = sub.add_parser("rline")
-    rls = rl.add_subparsers(dest="subcommand", required=True,
-                            parser_class=_Parser)
-    p = rls.add_parser("cospair")
-    _add_pair_args(p)
-    p.add_argument("--save-prefix")
-    _finish(p, _cmd_rline_cospair, budget=True)
-    p = rls.add_parser("riesz")
-    p.add_argument("--signs", required=True, help="e.g. 1,-1")
-    p.add_argument("--amps", required=True, help="e.g. 1/2,1/4")
-    _add_pair_args(p)
-    _finish(p, _cmd_rline_riesz, budget=True)
-    p = rls.add_parser("stability")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--tol", type=float, default=1e-6)
-    _finish(p, _cmd_rline_stability)
-    p = rls.add_parser("norms")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--draws", type=int, default=200)
-    _finish(p, _cmd_rline_norms, budget=True)
-    p = rls.add_parser("continuity")
-    p.add_argument("--in", dest="infile", default=None)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--h", default="1/256")
-    p.add_argument("--radii", default="0.2,0.1,0.05,0.025")
-    _finish(p, _cmd_rline_continuity)
-
+        if isinstance(node, list):
+            _add_leaf(p, [name], node)
+            continue
+        group = p.add_subparsers(dest="subcommand", required=True,
+                                 parser_class=_Parser)
+        for leaf, options in node.items():
+            _add_leaf(group.add_parser(leaf), [name, leaf], options)
     return top
+
+
+def _leaf_parser(words):
+    """The parser of the leaf that `words` name, alone, as build_parser
+    builds it; None if they name no leaf."""
+    node = COMMANDS
+    for word in words:
+        node = node.get(word) if isinstance(node, dict) else None
+    if not isinstance(node, list):
+        return None
+    return _add_leaf(_Parser(prog=" ".join(["trideck", *words])), words,
+                     node)
+
+
+def _parse(argv):
+    """Parse argv with only the parser of the leaf it names.  Arguments
+    that name no leaf (none, --help, a group alone, an unknown name) or
+    hold words the leaf does not know go to the full parser, so that every
+    message is the one it gives."""
+    depth = 2 if argv and isinstance(COMMANDS.get(argv[0]), dict) else 1
+    parser = _leaf_parser(argv[:depth])
+    if parser is not None:
+        names = dict(zip(("command", "subcommand"), argv[:depth]))
+        args, unknown = parser.parse_known_args(argv[depth:],
+                                                argparse.Namespace(**names))
+        if not unknown:
+            return args
+    return build_parser().parse_args(argv)
+
+
+def _words(args) -> list:
+    """The words that named the command args ran, e.g. ["rline", "norms"]."""
+    return [s for s in (args.command, getattr(args, "subcommand", None))
+            if s]
 
 
 def _manifest(args, t0: float, outputs: list) -> RunManifest:
     params = {k: v for k, v in vars(args).items()
               if k not in ("func", "out") and not callable(v)}
     return RunManifest(
-        command=" ".join(s for s in (args.command,
-                                     getattr(args, "subcommand", None)) if s),
+        command=" ".join(_words(args)),
         parameters=params,
         seed=getattr(args, "seed", None),
         versions={"trideck": __version__, "numpy": np.__version__,
@@ -410,14 +408,14 @@ def _manifest(args, t0: float, outputs: list) -> RunManifest:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
+        t0 = time.monotonic()
+        result, text = args.func(args)
     except _UsageError as e:
         print(str(e), file=sys.stderr)
         return EXIT_USAGE
-    t0 = time.monotonic()
-    try:
-        result, text = args.func(args)
     except BudgetError as e:
         print(f"trideck: budget refusal: {e}", file=sys.stderr)
         return EXIT_BUDGET

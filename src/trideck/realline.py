@@ -103,22 +103,6 @@ def three_deck_grid(f: SampledFunction, max_offset: Optional[int] = None,
     return GridDeck(f.h, offsets, N)
 
 
-def three_deck_grid_fft(f: SampledFunction,
-                        budget: Optional[int] = None) -> GridDeck:
-    """Convolution-theorem fast path for the full deck; agrees with the
-    direct sum to round-off."""
-    L = len(f.values)
-    M = 2 * L
-    if M * M > compute_budget(budget):
-        raise BudgetError(f"fft deck size {M * M} exceeds budget")
-    fh = np.fft.ifft(f.values, M) * M  # positive-exponent transform
-    l = np.arange(M)
-    B = fh[:, None] * fh[None, :] * fh[(-(l[:, None] + l[None, :])) % M]
-    N = np.real(np.fft.fft2(B)) / M**2 * f.h
-    offsets = np.arange(-(L - 1), L)
-    return GridDeck(f.h, offsets, N[np.ix_(offsets % M, offsets % M)])
-
-
 def deck_at(f: SampledFunction, bins: Sequence[int]) -> float:
     """N_f at a single offset tuple (any deck order), bins in grid units."""
     prod = f.values.copy()

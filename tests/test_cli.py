@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trideck
+from trideck import cli
 from trideck.cli import (EXIT_BUDGET, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main)
 
 
@@ -20,6 +22,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+_UNREAD_AND_CONFLICTING = [
+    ["zeros", "--n", "5"],
+    ["gm", "--p", "2", "--q", "3", "--r", "3", "--budget", "1"],
+    ["zeros", "--n", "5", "--set", "0,1", "--values", "1"],
+    ["rline", "norms", "--suite", "default"],
+    ["deck", "--set", "0,1", "--values", "1,2"],
+    ["reconstruct", "--deck", "d.json", "--values", "1,2"],
+]
 
 
 class TestExitCodes:
@@ -44,18 +56,107 @@ class TestExitCodes:
         assert run(capsys)[0] == EXIT_USAGE
         assert run(capsys, "deck", "--bogus-flag")[0] == EXIT_USAGE
 
-    @pytest.mark.parametrize("argv", [
-        ["zeros", "--n", "5"],
-        ["gm", "--p", "2", "--q", "3", "--r", "3", "--budget", "1"],
-        ["zeros", "--n", "5", "--set", "0,1", "--values", "1"],
-        ["rline", "norms", "--suite", "default"],
-        ["deck", "--set", "0,1", "--values", "1,2"],
-        ["reconstruct", "--deck", "d.json", "--values", "1,2"],
-    ])
+    @pytest.mark.parametrize("argv", _UNREAD_AND_CONFLICTING)
     def test_unread_and_conflicting_flags(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE and out == ""
         assert "error:" in err and "usage: trideck" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["deck"], "one of the arguments --set --values is required"),
+        (["deck", "--set", "0,1"], "--set requires --n"),
+        (["deck", "--n", "3", "--values", "1,2"],
+         "--n 3 but 2 values given"),
+        (["bispectrum", "--set", "0,1"], "--set requires --n"),
+        (["reconstruct"],
+         "one of the arguments --set --values --deck is required"),
+        (["reconstruct", "--n", "4", "--values", "1,2"],
+         "--n 4 but 2 values given"),
+    ])
+    def test_function_mistakes_are_usage_errors(self, capsys, argv,
+                                                 message):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith(f"trideck {argv[0]}: error: {message}\n"
+                              f"usage: trideck {argv[0]} [-h]")
+
+    # Each of these grids is refused before it is allocated.
+    @pytest.mark.parametrize("h, budget", [
+        ("1e-12", None), ("1/256", "100"), ("5e-324", None)])
+    def test_continuity_grid_is_charged(self, capsys, monkeypatch, h,
+                                        budget):
+        monkeypatch.delenv("TRIDECK_BUDGET", raising=False)
+        if budget is not None:
+            monkeypatch.setenv("TRIDECK_BUDGET", budget)
+        code, out, err = run(capsys, "rline", "continuity", "--h", h)
+        assert code == EXIT_BUDGET and out == ""
+        assert err.startswith("trideck: budget refusal: ")
+
+
+def _leaves(tree=cli.COMMANDS, words=()):
+    for name, node in tree.items():
+        if isinstance(node, dict):
+            yield from _leaves(node, words + (name,))
+        else:
+            yield [*words, name]
+
+
+def _outcome(argv):
+    """(exit code, stdout, stderr) of main(argv), --help's exit taken as its
+    code and the manifest's wall time blanked."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), re.sub(r'"wall_time": [-+.0-9e]+',
+                                        '"wall_time": 0', err.getvalue())
+
+
+_SPEC = json.dumps({"intervals": [["0", "1"], ["3/2", "2"]]})
+
+
+class TestLeafParser:
+    """main builds only the parser of the leaf a command names; every
+    outcome is the one the full parser gives."""
+
+    @pytest.mark.parametrize("argv", [
+        *([*words, "--help"] for words in _leaves()),
+        ["intervals", "--help"], ["rline", "--help"], ["--help"], ["-h"],
+        [], ["sweep"], ["gm", "--p", "2", "--q", "3"],
+        ["sweep", "--n", "8", "--bogus"], ["deck", "--bogus-flag"],
+        ["sweep", "--n", "8", "--bud", "10"], ["sweep", "--n", "x"],
+        ["survey", "--n", "6", "--mode", "fast"],
+        ["frobnicate"], ["intervals"], ["rline"], ["rline", "bogus"],
+        ["intervals deck", "--set", _SPEC, "--x", "0", "--y", "0"],
+        ["sweep", "--n", "8", "extra"], ["sweep", "--n", "8", "--"],
+        ["sweep", "--n", "8"], ["deck", "--n", "5", "--set", "0,1"],
+        ["deck", "--set", "0,1"], ["intervals", "gaps", "--set", _SPEC],
+        ["rline", "continuity", "--k", "2", "--radii", "0.1,0.05"],
+        *_UNREAD_AND_CONFLICTING,
+    ])
+    def test_same_outcome_as_full_parser(self, monkeypatch, argv):
+        lazy = _outcome(argv)
+        monkeypatch.setattr(cli, "_parse",
+                            lambda a: cli.build_parser().parse_args(a))
+        assert _outcome(argv) == lazy
+
+    def test_handlers_are_read_when_the_leaf_is_built(self, monkeypatch):
+        def traced(args):
+            return {"traced": args.n}, None
+        monkeypatch.setattr(cli, "_cmd_sweep", traced)
+        assert _outcome(["sweep", "--n", "8"])[1] == \
+            '{\n  "traced": 8\n}\n'
+
+    def test_module_entry_reads_sys_argv(self):
+        src = os.path.dirname(os.path.dirname(trideck.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "trideck.cli", "sweep", "--n", "8"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == EXIT_OK
+        assert done.stdout == _outcome(["sweep", "--n", "8"])[1]
 
 
 class TestSubcommands:
