@@ -172,6 +172,13 @@ def _cmd_intervals_translate(args):
     return {"shift": None if shift is None else str(shift)}, None
 
 
+def _charge_grid(samples: float, budget=None) -> None:
+    """Refuse a grid of more samples than the compute budget before it is
+    allocated; inf, which round() refuses, is over every budget."""
+    if samples > compute_budget(budget):
+        raise BudgetError(f"grid of {samples:.6g} samples exceeds budget")
+
+
 def _pair_summary(f: SampledFunction, g: SampledFunction, args):
     m = int(round(float(Fraction(args.max_x)) / f.h))
     Nf = three_deck_grid(f, m, args.stride, args.budget)
@@ -187,6 +194,7 @@ def _pair_summary(f: SampledFunction, g: SampledFunction, args):
 
 def _cmd_rline_cospair(args):
     h = float(Fraction(args.h))
+    _charge_grid(2 * args.half_width / h + 1, args.budget)
     f, g = cos_pair(args.k, h, args.half_width, args.tail_tol)
     out = _pair_summary(f, g, args)
     if args.save_prefix:
@@ -199,6 +207,7 @@ def _cmd_rline_cospair(args):
 
 def _cmd_rline_riesz(args):
     h = float(Fraction(args.h))
+    _charge_grid(2 * args.half_width / h + 1, args.budget)
     f, g = riesz_pair(_int_list(args.signs),
                       [float(Fraction(a)) for a in args.amps.split(",")],
                       args.k, h, args.half_width, args.tail_tol)
@@ -244,10 +253,8 @@ def _cmd_rline_continuity(args):
         f = SampledFunction.load_csv(args.infile)
     else:
         h = float(Fraction(args.h))
-        samples = 1 / h
-        if samples > compute_budget():  # also inf, which round() refuses
-            raise BudgetError(f"grid of {samples:.6g} samples exceeds budget")
-        f = SampledFunction(h, 0.0, np.ones(int(round(samples))))
+        _charge_grid(1 / h)
+        f = SampledFunction(h, 0.0, np.ones(int(round(1 / h))))
     radii = [float(Fraction(r)) for r in args.radii.split(",")]
     devs = continuity_probe(f, args.k, radii)
     return {"k": args.k, "limit": f.riemann(args.k + 1),

@@ -24,7 +24,10 @@ from .errors import BudgetError, DomainError, TrideckError
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _CHUNK = 1 << 20  # masks canonicalized at once, which bounds the memory
+_HASH_CHUNK = 1 << 16  # representatives whose n rotations are held at once
+_SURVEY_CHUNK = 1 << 12  # representatives tested for spectral zeros at once
 _FIRST_STAGE = 3  # the sweep keys first on offset tuples with a_1 < 3
+_HASH_P = np.uint64(0x9E3779B97F4A7C15)  # odd, so h -> h * P is a bijection
 
 
 def _necklaces(n: int) -> int:
@@ -53,29 +56,59 @@ def _least_in_orbit(masks: np.ndarray, n: int) -> np.ndarray:
 
 
 def _orbit_reps(n: int) -> np.ndarray:
-    """The least mask of every rotation orbit of subsets of Z/nZ, sorted."""
+    """The least mask of every rotation orbit of subsets of Z/nZ, sorted.
+
+    Apart from 0 and the full set 2^n - 1, only odd masks below 2^(n-1)
+    are candidates, a quarter of all masks.  Let m be the least mask of
+    its orbit, neither 0 nor full.  Bit 0 of m is set: otherwise rotating
+    m's lowest set bit down to bit 0 gives a smaller mask.  Bit n-1 of m
+    is clear: otherwise rotating a clear bit of m up to bit n-1 gives a
+    mask below 2^(n-1) <= m."""
     dtype = np.uint32 if n <= 32 else np.uint64
-    total = 1 << n
-    return np.concatenate([
-        _least_in_orbit(np.arange(start, min(start + _CHUNK, total),
-                                  dtype=dtype), n)
-        for start in range(0, total, _CHUNK)])
+    half = 1 << (n - 1)
+    odd = [_least_in_orbit(np.arange(start, min(start + 2 * _CHUNK, half), 2,
+                                     dtype=dtype), n)
+           for start in range(1, half, 2 * _CHUNK)]
+    return np.concatenate([np.zeros(1, dtype), *odd,
+                           np.full(1, (1 << n) - 1, dtype)])
 
 
-def _deck_rows(reps: np.ndarray, n: int,
-               offsets: list[tuple[int, ...]]) -> np.ndarray:
-    """Deck entries of 0/1 sets, one row per mask and one column per offset
-    tuple: N(a_1, ..., a_{k-1}) of a set A is |A & (A - a_1) & ...|, the
-    popcount of its mask ANDed with the mask's rotations by each a_i.
-    Entries lie in [0, n], so uint8 holds them exactly."""
+def _deck_columns(reps: np.ndarray, n: int,
+                  offsets: list[tuple[int, ...]]):
+    """Deck entries of 0/1 sets, one uint8 array per offset tuple in turn:
+    N(a_1, ..., a_{k-1}) of a set A is |A & (A - a_1) & ...|, the popcount
+    of its mask ANDed with the mask's rotations by each a_i.  Entries lie
+    in [0, n], so uint8 holds them exactly."""
     rot = [reps] + [_rotate(reps, n, a) for a in range(1, n)]
-    cols = np.empty((len(offsets), len(reps)), dtype=np.uint8)
-    for i, offset in enumerate(offsets):
+    for offset in offsets:
         acc = reps
         for a in offset:
             acc = acc & rot[a]
-        np.bitwise_count(acc, out=cols[i])
-    return np.ascontiguousarray(cols.T)
+        yield np.bitwise_count(acc)
+
+
+def _stage1_hash(reps: np.ndarray, n: int,
+                 offsets: list[tuple[int, ...]]) -> np.ndarray:
+    """A 64-bit rolling hash of each mask's deck entries at `offsets`,
+    h <- h * P + entry mod 2^64, over chunks of masks so that only one
+    chunk's n rotations are held.  Equal entries give equal hashes."""
+    h = np.zeros(len(reps), dtype=np.uint64)
+    for start in range(0, len(reps), _HASH_CHUNK):
+        part = h[start:start + _HASH_CHUNK]
+        for col in _deck_columns(reps[start:start + _HASH_CHUNK], n, offsets):
+            part *= _HASH_P
+            part += col
+    return h
+
+
+def _colliding(h: np.ndarray) -> np.ndarray:
+    """Positions, ascending, of the entries of h whose value occurs more
+    than once."""
+    order = np.argsort(h)
+    h = h[order]
+    tie = np.zeros(len(h) + 1, dtype=bool)  # tie[i]: h[i] equals h[i - 1]
+    tie[1:-1] = h[1:] == h[:-1]
+    return np.sort(order[tie[1:] | tie[:-1]])
 
 
 def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -112,9 +145,15 @@ def exhaustive_determinacy(n: int, k: int,
     Subsets are bitmasks (uint32 up to n = 32, uint64 up to n = 64), and a
     0/1 set's deck entries are popcounts.  A k-deck is symmetric in its
     arguments, so its entries at 0 <= a_1 <= ... <= a_{k-1} < n decide it.
-    The least mask of each rotation orbit is grouped first on the entries
-    with a_1 <= 2, which see more than the 2-deck (a set and its mirror
-    image share the 2-deck); only masks that collide there get the rest.
+    Only the least mask of each rotation orbit is decked (see _orbit_reps).
+
+    Stage 1 folds each mask's entries with a_1 <= 2, which see more than
+    the 2-deck (a set and its mirror image share the 2-deck), into a
+    64-bit rolling hash; no stage-1 matrix is stored.  Stage 2 builds the
+    full exact rows of the masks whose hash is shared and groups them on
+    exact bytes.  Equal decks have equal hashes, so every class of two or
+    more orbits reaches stage 2; a false hash collision only sends extra
+    masks there.  No hash value decides an answer.
 
     The budget is charged before any work starts, with the kernel's own
     operation count: 2^n * n for the rotation pass, plus necklaces(n) times
@@ -133,13 +172,10 @@ def exhaustive_determinacy(n: int, k: int,
 
     reps = _orbit_reps(n)
     offsets = list(itertools.combinations_with_replacement(range(n), k - 1))
-    rows = _deck_rows(reps, n, [a for a in offsets if a[0] < _FIRST_STAGE])
-    group, sizes = _group_rows(rows)
-    collide = sizes[group] >= 2
-    colliding = reps[collide]
-    rows = np.hstack([rows[collide], _deck_rows(
-        colliding, n, [a for a in offsets if a[0] >= _FIRST_STAGE])])
-    group, _ = _group_rows(rows)
+    colliding = reps[_colliding(
+        _stage1_hash(reps, n, [a for a in offsets if a[0] < _FIRST_STAGE]))]
+    group, sizes = _group_rows(
+        np.stack(list(_deck_columns(colliding, n, offsets)), axis=1))
     classes: dict[int, list[int]] = {}
     for g, mask in zip(group.tolist(), colliding.tolist()):
         classes.setdefault(g, []).append(mask)
@@ -147,7 +183,7 @@ def exhaustive_determinacy(n: int, k: int,
         tuple(sorted(tuple(j for j in range(n) if m >> j & 1) for m in c))
         for c in classes.values() if len(c) >= 2)
     stats = {"orbit_reps": len(reps),
-             "deck_classes": int(np.count_nonzero(sizes == 1)) + len(classes)}
+             "deck_classes": len(reps) - len(colliding) + len(sizes)}
     return DeterminacyReport(n, k, 1 << n, tuple(ambiguous), stats)
 
 
@@ -286,8 +322,12 @@ def survey_zero_proportion(n: int, samples: Optional[int] = None,
             if n % a == 0:
                 size[_rotate(reps, n, a) == reps] = a
         shifts = np.arange(n, dtype=reps.dtype)
-        bits = ((reps[:, None] >> shifts) & 1).astype(np.int64)
-        hits = int(size[_chunk_hits(bits, mats)].sum())
+        hits = 0
+        for start in range(0, len(reps), _SURVEY_CHUNK):
+            part = reps[start:start + _SURVEY_CHUNK]
+            bits = ((part[:, None] >> shifts) & 1).astype(np.int64)
+            hits += int(size[start:start + _SURVEY_CHUNK]
+                        [_chunk_hits(bits, mats)].sum())
         total = int(size.sum())
         lo, hi = hits / total, hits / total
         return SurveyResult(n, "exhaustive", total, hits, hits / total,

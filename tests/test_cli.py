@@ -92,6 +92,20 @@ class TestExitCodes:
         assert code == EXIT_BUDGET and out == ""
         assert err.startswith("trideck: budget refusal: ")
 
+    # Each of these grids is refused before it is allocated too.
+    @pytest.mark.parametrize("pair", [
+        ["cospair"], ["riesz", "--signs", "1,-1", "--amps", "1/2,1/4"]],
+        ids=["cospair", "riesz"])
+    @pytest.mark.parametrize("grid", [
+        ["--h", "1e-12"], ["--h", "5e-324"], ["--half-width", "1e12"],
+        ["--half-width", "inf"], ["--h", "1/256", "--budget", "100"]],
+        ids=" ".join)
+    def test_pair_grid_is_charged(self, capsys, monkeypatch, pair, grid):
+        monkeypatch.delenv("TRIDECK_BUDGET", raising=False)
+        code, out, err = run(capsys, "rline", *pair, *grid)
+        assert code == EXIT_BUDGET and out == ""
+        assert err.startswith("trideck: budget refusal: grid of ")
+
 
 def _leaves(tree=cli.COMMANDS, words=()):
     for name, node in tree.items():

@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import trideck as td
+from trideck import determinacy
 from trideck.determinacy import _least_in_orbit, _orbit_reps, _wilson
 from trideck.errors import BudgetError, DomainError
 
@@ -67,12 +69,18 @@ class TestExhaustive:
                 for g in fs[i + 1:]:
                     assert td.equal_up_to_translation(f, g) is None
 
-    @pytest.mark.parametrize("n", range(1, 17))
+    @pytest.mark.parametrize("n", range(1, 21))
     def test_orbit_reps_are_the_necklaces(self, n):
         reps = _orbit_reps(n).tolist()
         assert len(reps) == _burnside(n)
         assert reps == sorted(reps)
         assert all(m == min(_rotations(m, n)) for m in reps)
+
+    @pytest.mark.parametrize("n", range(17, 23))
+    def test_orbit_reps_match_all_masks(self, n):
+        # the odd-mask bound against canonicalizing every mask
+        everything = _least_in_orbit(np.arange(1 << n, dtype=np.uint32), n)
+        assert np.array_equal(_orbit_reps(n), everything)
 
     @pytest.mark.parametrize("n", [32, 33, 40, 64])
     def test_least_in_orbit_on_wide_masks(self, n):
@@ -101,11 +109,25 @@ class TestExhaustive:
         assert rep.ambiguous_classes == ()
         assert rep.runtime_stats["deck_classes"] == _burnside(n)
 
-    @pytest.mark.parametrize("n,classes", [(18, 7), (20, 18), (22, 31)])
+    @pytest.mark.parametrize("n,classes", [(18, 7), (20, 18), (22, 31),
+                                           (24, 69)])
     def test_even_moduli_ambiguous_counts(self, n, classes):
         rep = td.exhaustive_determinacy(n, 3, budget=10**9)
         assert len(rep.ambiguous_classes) == classes
-        assert all(len(c) == 2 for c in rep.ambiguous_classes)
+        # pairs of orbits only, up to n = 22; n = 24 has six classes of four
+        sizes = Counter(len(c) for c in rep.ambiguous_classes)
+        assert sizes == ({2: 63, 4: 6} if n == 24 else {2: classes})
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_hash_never_decides(self, monkeypatch, k):
+        # a hash that collides everywhere sends every orbit to the exact
+        # stage, which must give the same report
+        reports = [td.exhaustive_determinacy(n, k) for n in range(1, 15)]
+        monkeypatch.setattr(
+            determinacy, "_stage1_hash",
+            lambda reps, n, offsets: np.zeros(len(reps), dtype=np.uint64))
+        assert [td.exhaustive_determinacy(n, k)
+                for n in range(1, 15)] == reports
 
     def test_budget_charges_kernel_work(self):
         td.exhaustive_determinacy(20, 3)  # fits the default budget
