@@ -29,9 +29,10 @@ from .errors import BudgetError, TrideckError
 from .intervals import (IntervalSet, gap_functional, gap_profile,
                         partial_x_deck, translate_equal_sets,
                         triple_correlation_exact)
-from .realline import (SampledFunction, continuity_probe, cos_pair,
-                       indicator_stability_check, norm_inequality_test,
-                       riesz_pair, shift_scan_distance, three_deck_grid)
+from .realline import (SampledFunction, _check_step, continuity_probe,
+                       cos_pair, indicator_stability_check,
+                       norm_inequality_test, riesz_pair, shift_scan_distance,
+                       three_deck_grid)
 from .reconstruct import reconstruct_from_deck
 
 EXIT_OK = 0
@@ -179,6 +180,14 @@ def _charge_grid(samples: float, budget=None) -> None:
         raise BudgetError(f"grid of {samples:.6g} samples exceeds budget")
 
 
+def _step(text: str) -> float:
+    """A --h value, refused unless positive and finite before any grid is
+    sized from it."""
+    h = float(Fraction(text))
+    _check_step(h)
+    return h
+
+
 def _pair_summary(f: SampledFunction, g: SampledFunction, args):
     m = int(round(float(Fraction(args.max_x)) / f.h))
     Nf = three_deck_grid(f, m, args.stride, args.budget)
@@ -193,7 +202,7 @@ def _pair_summary(f: SampledFunction, g: SampledFunction, args):
 
 
 def _cmd_rline_cospair(args):
-    h = float(Fraction(args.h))
+    h = _step(args.h)
     _charge_grid(2 * args.half_width / h + 1, args.budget)
     f, g = cos_pair(args.k, h, args.half_width, args.tail_tol)
     out = _pair_summary(f, g, args)
@@ -206,7 +215,7 @@ def _cmd_rline_cospair(args):
 
 
 def _cmd_rline_riesz(args):
-    h = float(Fraction(args.h))
+    h = _step(args.h)
     _charge_grid(2 * args.half_width / h + 1, args.budget)
     f, g = riesz_pair(_int_list(args.signs),
                       [float(Fraction(a)) for a in args.amps.split(",")],
@@ -252,7 +261,7 @@ def _cmd_rline_continuity(args):
     if args.infile is not None:
         f = SampledFunction.load_csv(args.infile)
     else:
-        h = float(Fraction(args.h))
+        h = _step(args.h)
         _charge_grid(1 / h)
         f = SampledFunction(h, 0.0, np.ones(int(round(1 / h))))
     radii = [float(Fraction(r)) for r in args.radii.split(",")]

@@ -8,10 +8,13 @@ which is the opposite of the numpy/FFTW default.  All spectra and bispectra
 in this package follow this convention.
 
 Two numeric paths coexist.  k_deck() is exact: it clears the denominators of
-the values, sums integer products (int64 when the entries cannot overflow,
-Python ints in an object array otherwise) and returns an integer tensor over
-one denominator in lowest terms.  three_deck_fft() is the double-precision
-transform route.  The exact path is the oracle for the float path at small n.
+the values and sums integer products in one of three tiers, chosen by the
+bound n * M^k on every partial sum (M the largest cleared value, at least 1):
+float64 below 2^53, where every integer involved is a double and the sum is
+exact in any order; int64 below 2^62; Python ints in an object array above.
+It returns an int64 (or object) tensor over one denominator in lowest terms.
+three_deck_fft() is the double-precision transform route.  The exact path is
+the oracle for the float path at small n.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .errors import BudgetError, DomainError, ShapeMismatchError
 
 MAX_DECK_ORDER = 6  # decks for k > 6 are out of scope
 
+_FLOAT64_EXACT = 2**53  # every integer of magnitude up to this is a double
 _INT64_SAFE = 2**62
 
 
@@ -162,23 +166,29 @@ class KDeck:
             return v / d  # both operands exact in float64: one rounding
         return (v.astype(object) / d).astype(np.float64)  # int / int
 
-    def _entries(self, fmt=lambda t: t) -> list:
-        """Flat entries as JSON scalars, each passed through fmt: an int or
-        "p/q" per exact entry, in its own lowest terms, and a float per
-        float entry.  The deck counts translates of the multiset
+    def _entries(self, fmt=None, quote="") -> list:
+        """Flat entries, an int or "p/q" per exact entry, in its own lowest
+        terms, and a float per float entry: as JSON scalars when fmt is
+        None, else as text, fmt(t) per float entry and p/q wrapped in quote
+        per exact one.  The deck counts translates of the multiset
         {0, j_1, ..., j_{k-1}}, so it is symmetric under S_k and a value
         recurs up to k! times; each distinct exact value is reduced and
         formatted once and indexed back into place."""
         flat = self.values.reshape(-1)
         if not self.exact:  # np.unique would merge -0.0 into 0.0
-            return [fmt(t) for t in flat.tolist()]
+            return flat.tolist() if fmt is None \
+                else [fmt(t) for t in flat.tolist()]
         u, inverse = np.unique(flat, return_inverse=True)
         d = self.denominator
         if u.dtype != object and d >= _INT64_SAFE:
             u = u.astype(object)
         g = np.gcd(u, d)
-        tokens = [fmt(a if b == 1 else f"{a}/{b}")
-                  for a, b in zip((u // g).tolist(), (d // g).tolist())]
+        pairs = zip((u // g).tolist(), (d // g).tolist())
+        if fmt is None:
+            tokens = [a if b == 1 else f"{a}/{b}" for a, b in pairs]
+        else:
+            tokens = [str(a) if b == 1 else f"{quote}{a}/{b}{quote}"
+                      for a, b in pairs]
         return np.array(tokens, dtype=object)[inverse].tolist()
 
     def _header(self) -> dict:
@@ -190,9 +200,10 @@ class KDeck:
     def to_json(self) -> str:
         """The text of json.dumps(self.to_json_dict(), indent=2,
         sort_keys=True), with each distinct entry encoded once."""
-        # head ends in "\n}", and "values" sorts after the header's keys
+        # head ends in "\n}", and "values" sorts after the header's keys;
+        # an exact token, str(a) or "a/b", is json.dumps' text for it
         head = json.dumps(self._header(), indent=2, sort_keys=True)
-        values = ",\n    ".join(self._entries(json.dumps))
+        values = ",\n    ".join(self._entries(json.dumps, quote='"'))
         return f'{head[:-2]},\n  "values": [\n    {values}\n  ]\n}}'
 
     @classmethod
@@ -267,6 +278,8 @@ def _shift_matrix(n: int) -> np.ndarray:
 
 
 def _deck_int64(v: np.ndarray, n: int, k: int) -> np.ndarray:
+    """The deck contraction of v in v's dtype: float64, int64 or object, one
+    per tier of k_deck, which says when each is exact."""
     R = v[_shift_matrix(n)]  # R[s, j] = v[(j+s) % n]
     if k == 2:
         return R @ v
@@ -280,9 +293,19 @@ def _deck_int64(v: np.ndarray, n: int, k: int) -> np.ndarray:
 def k_deck(f: CyclicFunction, k: int, budget: Optional[int] = None) -> KDeck:
     """Exact k-deck N_f^k(j_1..j_{k-1}) = sum_j f_j f_{j+j_1} ... f_{j+j_{k-1}}.
 
-    The sum runs over all j in Z/nZ.  Denominators are cleared first so the
-    core sum is integer arithmetic (int64 when safe, Python ints otherwise),
-    and the deck is that integer tensor over the denominator D^k.
+    The sum runs over all j in Z/nZ.  Denominators are cleared first, so the
+    core sum is over integers of magnitude at most M (the largest cleared
+    value), and the deck is that integer tensor over the denominator D^k.
+
+    The core runs in float64 (BLAS) when n * M^k < 2^53, and is still exact:
+    j is the only index summed and every operand carries it, so each
+    intermediate of the contraction is a product of at most k values or a
+    partial sum of at most n such products, an integer of magnitude at most
+    n * M^k.  float64 holds every integer below 2^53 exactly, so each
+    multiply and add is exact, whatever order BLAS sums in, with or without
+    fused multiply-add and on any number of threads; the result is converted
+    to int64.  Below 2^62 the core runs in int64, and above that in Python
+    ints (object dtype).
     """
     if k < 2:
         raise DomainError(f"deck order must be >= 2, got {k}")
@@ -293,9 +316,13 @@ def k_deck(f: CyclicFunction, k: int, budget: Optional[int] = None) -> KDeck:
         raise BudgetError(f"k_deck size n^k = {n}^{k} exceeds budget")
     denom = math.lcm(*(v.denominator for v in f.values))
     ints = [v.numerator * (denom // v.denominator) for v in f.values]
-    mx = max((abs(x) for x in ints), default=0)
-    dtype = np.int64 if n * max(mx, 1) ** k < _INT64_SAFE else object
-    raw = _deck_int64(np.array(ints, dtype=dtype), n, k)
+    bound = n * max(max(map(abs, ints)), 1) ** k
+    if bound < _FLOAT64_EXACT:
+        raw = _deck_int64(np.array(ints, dtype=np.float64), n, k)
+        raw = raw.astype(np.int64)
+    else:
+        dtype = np.int64 if bound < _INT64_SAFE else object
+        raw = _deck_int64(np.array(ints, dtype=dtype), n, k)
     return KDeck(n, k, raw, denom**k)
 
 

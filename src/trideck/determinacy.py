@@ -46,11 +46,13 @@ def _rotate(masks: np.ndarray, n: int, a: int) -> np.ndarray:
     return ((masks >> t(a)) | (masks << t(n - a))) & t((1 << n) - 1)
 
 
-def _least_in_orbit(masks: np.ndarray, n: int) -> np.ndarray:
+def _least_in_orbit(masks: np.ndarray, n: int,
+                    shifts: Optional[range] = None) -> np.ndarray:
     """The masks (bit j set when j is in the set) that are the least of
-    their n rotations, in their given order.  A mask is dropped at its
+    their n rotations, in their given order, comparing each with its
+    rotations by `shifts` (default all, 1..n-1).  A mask is dropped at its
     first smaller rotation, so the array shrinks as it goes."""
-    for a in range(1, n):
+    for a in range(1, n) if shifts is None else shifts:
         masks = masks[masks <= _rotate(masks, n, a)]
     return masks
 
@@ -63,11 +65,16 @@ def _orbit_reps(n: int) -> np.ndarray:
     its orbit, neither 0 nor full.  Bit 0 of m is set: otherwise rotating
     m's lowest set bit down to bit 0 gives a smaller mask.  Bit n-1 of m
     is clear: otherwise rotating a clear bit of m up to bit n-1 gives a
-    mask below 2^(n-1) <= m."""
+    mask below 2^(n-1) <= m.
+
+    Such a candidate is never above its rotations by 1 and by n - 1, so
+    only the shifts 2..n-2 are compared: the rotation by 1 moves bit 0 up
+    to bit n-1, giving a mask of at least 2^(n-1), and the rotation by
+    n - 1 is the doubled mask, since bit n-1 is clear."""
     dtype = np.uint32 if n <= 32 else np.uint64
     half = 1 << (n - 1)
     odd = [_least_in_orbit(np.arange(start, min(start + 2 * _CHUNK, half), 2,
-                                     dtype=dtype), n)
+                                     dtype=dtype), n, range(2, n - 1))
            for start in range(1, half, 2 * _CHUNK)]
     return np.concatenate([np.zeros(1, dtype), *odd,
                            np.full(1, (1 << n) - 1, dtype)])

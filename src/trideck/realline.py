@@ -20,6 +20,13 @@ from .config import compute_budget
 from .errors import BudgetError, DomainError, InvalidExponentsError
 from .intervals import IntervalSet
 
+_GRID_BLOCK = 512  # samples per block of the grid deck's sum over t
+
+
+def _check_step(h: float) -> None:
+    if not (math.isfinite(h) and h > 0):
+        raise DomainError("grid step must be positive and finite")
+
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class SampledFunction:
@@ -30,8 +37,7 @@ class SampledFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.h) and self.h > 0):
-            raise DomainError("grid step must be positive and finite")
+        _check_step(self.h)
         if not (math.isfinite(self.origin)
                 and np.all(np.isfinite(self.values))):
             raise DomainError("grid origin and samples must be finite")
@@ -91,16 +97,30 @@ def three_deck_grid(f: SampledFunction, max_offset: Optional[int] = None,
                     stride: int = 1, budget: Optional[int] = None) -> GridDeck:
     """Left-Riemann 3-deck N(i,j) = h * sum_t f_t f_{t+i} f_{t+j} on the
     zero-padded grid, at bin offsets |i|,|j| <= max_offset (default: the
-    full support width)."""
-    L = len(f.values)
+    full support width).
+
+    The sum over t runs in blocks of _GRID_BLOCK samples, so each block's
+    shift rows S[a, s] = f_{t+s+offsets[a]} stay in cache; they are windows
+    of one zero-padded copy of the values.  A shift by L or more bins reads
+    only zeros, so the padding is at most L on each side."""
+    v = f.values
+    L = len(v)
     m = L - 1 if max_offset is None else int(max_offset)
     offsets = np.arange(-m, m + 1, stride)
     cost = len(offsets) ** 2 * L
     if cost > compute_budget(budget):
         raise BudgetError(f"grid deck cost {cost} exceeds budget")
-    S = _shift_stack(f.values, offsets)
-    N = f.h * ((S * f.values[None, :]) @ S.T)
-    return GridDeck(f.h, offsets, N)
+    pad = min(max(m, 0), L)
+    padded = np.zeros(L + 2 * pad + _GRID_BLOCK)
+    padded[pad:pad + L] = v
+    windows = np.lib.stride_tricks.sliding_window_view(padded, _GRID_BLOCK)
+    rows = np.clip(offsets, -pad, pad) + pad
+    N = np.zeros((len(offsets), len(offsets)))
+    for t in range(0, L, _GRID_BLOCK):
+        w = v[t:t + _GRID_BLOCK]
+        S = windows[rows + t, :len(w)]
+        N += (S * w) @ S.T
+    return GridDeck(f.h, offsets, f.h * N)
 
 
 def deck_at(f: SampledFunction, bins: Sequence[int]) -> float:
@@ -190,19 +210,43 @@ def riesz_pair(signs: Sequence[int], amplitudes: Sequence[float], k: int,
             SampledFunction(h, origin, gvals))
 
 
+def _smooth_size(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n, a transform length the FFT does fast."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p = p5
+        while p < best:
+            best = min(best, p << max(-(-n // p) - 1, 0).bit_length())
+            p *= 3
+        p5 *= 5
+    return best
+
+
 def shift_scan_distance(f: SampledFunction, g: SampledFunction) -> float:
     """min over integer-grid shifts (and half-bin offsets) of
-    ||f - g(.-a)||_2 / ||f||_2; the non-translate certificate at grid scale."""
+    ||f - g(.-a)||_2 / ||f||_2; the non-translate certificate at grid scale.
+
+    One rFFT correlation C[tau] = sum_t f_{t+tau} g_t gives every whole-bin
+    lag; its length is the least 5-smooth size that lets no lag wrap.  The
+    half-bin grid gg_t = (g_t + g_{t+1}) / 2, t < lg - 1, then correlates to
+    (C[tau] + C[tau-1]) / 2 less the two end terms
+    (f_{tau+lg-1} g_{lg-1} + f_{tau-1} g_0) / 2, with f zero off its grid;
+    the identity holds on the cyclic lags too, so no second transform runs."""
     fv, gv = f.values, g.values
+    lf, lg = len(fv), len(gv)
+    size = _smooth_size(lf + lg - 1)
+    corr = np.fft.irfft(np.fft.rfft(fv, size)
+                        * np.conj(np.fft.rfft(gv, size)), size)
+    fpad = np.zeros(size)
+    fpad[:lf] = fv
+    half = 0.5 * (corr + np.roll(corr, 1)
+                  - np.roll(fpad, 1 - lg) * gv[-1] - np.roll(fpad, 1) * gv[0])
+    gh = 0.5 * (gv[:-1] + gv[1:])
     nf2 = float(np.dot(fv, fv))
     best = np.inf
-    for gg in (gv, 0.5 * (gv[:-1] + gv[1:])):  # whole- and half-bin grids
-        # every lag of the full correlation, zero-padded so none wraps
-        size = 1 << (len(fv) + len(gg) - 2).bit_length()
-        corr = np.fft.irfft(np.fft.rfft(fv, size)
-                            * np.conj(np.fft.rfft(gg, size)), size)
-        n2 = float(np.dot(gg, gg))
-        d2 = nf2 + n2 - 2 * float(np.max(corr))
+    for c, gg in ((corr, gv), (half, gh)):  # whole- and half-bin grids
+        d2 = nf2 + float(np.dot(gg, gg)) - 2 * float(np.max(c))
         best = min(best, max(d2, 0.0))
     return float(np.sqrt(best) / np.sqrt(nf2))
 

@@ -92,6 +92,19 @@ class TestExitCodes:
         assert code == EXIT_BUDGET and out == ""
         assert err.startswith("trideck: budget refusal: ")
 
+    # A step that is not positive and finite is refused before the grid is
+    # sized from it; -5e-324 made the size -inf and round() raise.
+    @pytest.mark.parametrize("argv", [
+        ["cospair", "--h=-5e-324"], ["cospair", "--h=0"],
+        ["riesz", "--signs", "1,-1", "--amps", "1/2,1/4", "--h=-5e-324"],
+        ["riesz", "--signs", "1,-1", "--amps", "1/2,1/4", "--h=-1/256"],
+        ["continuity", "--h=-5e-324"], ["continuity", "--h=0"]],
+        ids=" ".join)
+    def test_step_must_be_positive_and_finite(self, capsys, argv):
+        code, out, err = run(capsys, "rline", *argv)
+        assert code == EXIT_DOMAIN and out == ""
+        assert err == "trideck: error: grid step must be positive and finite\n"
+
     # Each of these grids is refused before it is allocated too.
     @pytest.mark.parametrize("pair", [
         ["cospair"], ["riesz", "--signs", "1,-1", "--amps", "1/2,1/4"]],

@@ -7,22 +7,65 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trideck as td
+from trideck import cyclic
 from trideck.cyclic import _deck_int64, _shift_matrix
 from trideck.errors import BudgetError, DomainError, ShapeMismatchError
 
 
 @pytest.mark.parametrize("k", [4, 5, 6])
-@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize("dtype", [np.int64, object, np.float64])
 def test_deck_core_contraction_order_is_exact(k, dtype):
     n = 9
     v = np.random.default_rng(k).integers(0, 50, n)
     if dtype is object:  # Python ints beyond int64
         v = np.array([int(x) * 10**20 for x in v], dtype=object)
+    elif dtype is np.float64:  # 9 * 49^6 < 2^53: every sum is exact
+        v = v.astype(np.float64)
     R = v[_shift_matrix(n)]
     sub = "j," + ",".join(f"{c}j" for c in "abcde"[:k - 1]) + "->" \
         + "abcde"[:k - 1]
     assert np.array_equal(_deck_int64(v, n, k),
                           np.einsum(sub, v, *([R] * (k - 1)), optimize=False))
+
+
+def _tier_inputs(k, n, above):
+    """A constant and a signed function (the raw constructor) on Z/nZ whose
+    largest |value| is M, and the bound n * M^k: just below 2^53, or just
+    above it and odd, so that the constant's deck entry n * M^k is no
+    double."""
+    M = int(((2**53 - 1) / n) ** (1 / k)) + 2
+    while n * M**k >= 2**53:  # the largest M below the bound
+        M -= 1
+    if above:
+        M += 1 if M % 2 == 0 else 2  # odd, so n * M^k is odd
+    signed = [M, -M, M - 1, -(M // 3), 1][:n]
+    return [td.CyclicFunction.of([M] * n),
+            td.CyclicFunction(n, tuple(map(Fraction, signed)))], n * M**k
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("above", [False, True], ids=["below", "above"])
+def test_float64_tier_boundary(k, above, monkeypatch):
+    # the float64 core is used exactly when n * M^k < 2^53, and every tier
+    # gives the Python-int deck
+    used = []
+
+    def spy(v, n, k):
+        used.append(v.dtype)
+        return _deck_int64(v, n, k)
+
+    monkeypatch.setattr(cyclic, "_deck_int64", spy)
+    for n in (3, 5):
+        fs, bound = _tier_inputs(k, n, above)
+        assert (bound >= 2**53) == above and bound < 2**62
+        for f in fs:
+            ints = np.array([int(x) for x in f.values], dtype=object)
+            want = _deck_int64(ints, n, k)
+            got = td.k_deck(f, k)
+            assert got.denominator == 1
+            assert got.values.dtype == np.int64
+            assert got.values.tolist() == want.tolist()
+    assert set(used) == {np.dtype(np.int64 if above else np.float64)}
 
 
 def small_functions(max_n=12, max_val=9):
@@ -186,7 +229,13 @@ class TestKDeck:
             [f"{10**12 + 1}/3", 1, "2/9", 0]), 3),
         lambda: td.three_deck_fft(td.CyclicFunction.of([2, "1/3", 0, 7])),
         lambda: td.KDeck(2, 3, np.array([[0.0, -0.0], [1.5, 0.0]])),
-    ], ids=["int64", "int64-over-3^90", "object", "fft", "signed-zero"])
+        # signed entries summed in int64: 3 * 1000001^3 is past 2^53
+        lambda: td.k_deck(td.CyclicFunction(3, tuple(map(Fraction, [
+            "-1000001/7", "3/7", "-5/7"]))), 3),
+        lambda: td.k_deck(td.CyclicFunction(3, tuple(map(Fraction, [
+            "-1/6", "3/4", 2]))), 3),  # signed, summed in float64
+    ], ids=["int64", "int64-over-3^90", "object", "fft", "signed-zero",
+            "signed-int64-core", "signed-float64-core"])
     def test_to_json_is_the_plain_encoding(self, deck):
         d = deck()
         flat = d.values.reshape(-1).tolist()

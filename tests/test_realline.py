@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import trideck as td
 from trideck.errors import DomainError, InvalidExponentsError
-from trideck.realline import _psi
+from trideck.realline import _GRID_BLOCK, _psi, _shift_stack
 
 
 def random_grids(length=96, h=1 / 32):
@@ -20,7 +20,8 @@ def _direct_shift_scan(fv, gv):
     nf2 = float(np.dot(fv, fv))
     best = np.inf
     for gg in (gv, 0.5 * (gv[:-1] + gv[1:])):
-        corr = np.correlate(fv, gg, mode="full")
+        # one sample has no half-bin grid: its correlation is zero
+        corr = np.correlate(fv, gg, mode="full") if len(gg) else [0.0]
         d2 = nf2 + float(np.dot(gg, gg)) - 2 * float(np.max(corr))
         best = min(best, max(d2, 0.0))
     return float(np.sqrt(best) / np.sqrt(nf2))
@@ -75,6 +76,21 @@ class TestGridDecks:
         assert np.array_equal(d1.offsets, d2.offsets)
         scale = max(np.max(np.abs(d1.values)), 1e-12)
         assert np.max(np.abs(d1.values - d2.values)) < 1e-10 * scale
+
+    @pytest.mark.parametrize("L, max_offset, stride", [
+        (5, None, 1), (3 * _GRID_BLOCK + 7, 40, 1),
+        (3 * _GRID_BLOCK + 7, 3 * _GRID_BLOCK + 50, 97)])
+    def test_blocks_match_one_matmul(self, L, max_offset, stride):
+        # the blocked sum against one product of full shift rows, with
+        # offsets past the support when max_offset >= L
+        vals = np.random.default_rng(L).random(L)
+        f = td.SampledFunction(0.5, 0.0, vals)
+        deck = td.three_deck_grid(f, max_offset, stride)
+        S = _shift_stack(vals, deck.offsets)
+        want = f.h * ((S * vals) @ S.T)
+        assert np.max(np.abs(deck.values - want)) <= 1e-12 * np.max(want)
+        if max_offset is not None and max_offset >= L:
+            assert not np.any(deck.values[0])  # a shift past L reads zeros
 
     def test_grid_matches_exact_intervals(self):
         E = td.IntervalSet.of([(0, 1), ("3/2", 2)])
@@ -143,7 +159,7 @@ class TestCounterexamplePairs:
     def test_shift_scan_matches_direct_correlation(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
-            fv, gv = (rng.random(rng.integers(2, 80)) for _ in range(2))
+            fv, gv = (rng.random(rng.integers(1, 80)) for _ in range(2))
             got = td.shift_scan_distance(td.SampledFunction(0.1, 0.0, fv),
                                          td.SampledFunction(0.1, 0.0, gv))
             assert got == pytest.approx(_direct_shift_scan(fv, gv),
