@@ -84,8 +84,23 @@ class CyclicFunction:
 
     @classmethod
     def from_floats(cls, values: Sequence[float]) -> "CyclicFunction":
-        vals = tuple(Fraction(float(v)).limit_denominator(10**9)
-                     for v in values)
+        """Each value as Fraction(x).limit_denominator(10**9).
+
+        A value within 5e-10 of an integer m is m, which is what
+        limit_denominator returns for it: every other p/q with q <= 10^9
+        lies at least 1/q >= 1e-9 from m, so further than 5e-10 from x.
+        x - m is exact there, and the float 5e-10 lies just above the real
+        one with no double between them, hence the strict test.  Only the
+        other values take limit_denominator; NaN and inf reach it and raise
+        as it does."""
+        x = np.asarray(values, dtype=np.float64)
+        m = np.rint(x)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            near = np.abs(x - m) < 5e-10
+        vals = tuple(Fraction(int(r)) if ok
+                     else Fraction(v).limit_denominator(10**9)
+                     for v, r, ok in zip(x.tolist(), m.tolist(),
+                                         near.tolist()))
         return cls(len(vals), vals)
 
     def __getitem__(self, j: int) -> Fraction:
@@ -100,7 +115,7 @@ class CyclicFunction:
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
-            "values": [int(v) if v.denominator == 1 else str(v)
+            "values": [v.numerator if v.denominator == 1 else str(v)
                        for v in self.values],
         }
 
@@ -353,8 +368,8 @@ def three_deck_fft(f: CyclicFunction) -> KDeck:
 def translate(f: CyclicFunction, a: int) -> CyclicFunction:
     """result(j) = f(j - a mod n); every k-deck is invariant under this."""
     n = f.n
-    a %= n
-    return CyclicFunction(n, tuple(f.values[(j - a) % n] for j in range(n)))
+    cut = n - a % n
+    return CyclicFunction(n, f.values[cut:] + f.values[:cut])
 
 
 def equal_up_to_translation(f: CyclicFunction,

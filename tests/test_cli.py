@@ -34,6 +34,22 @@ _UNREAD_AND_CONFLICTING = [
 ]
 
 
+_SET = '{"intervals": [[0, 1]]}'
+_BAD_RATIONALS = [
+    (["rline", "cospair", "--h", "1/0"], "--h", "1/0"),
+    (["rline", "cospair", "--h", "inf"], "--h", "inf"),
+    (["rline", "cospair", "--max-x", "1/0"], "--max-x", "1/0"),
+    (["rline", "riesz", "--signs", "1,-1", "--amps", "1/2,x"], "--amps", "x"),
+    (["rline", "continuity", "--radii", "0.1,nan"], "--radii", "nan"),
+    (["deck", "--values", "1/0,1"], "--values", "1/0"),
+    (["intervals", "deck", "--set", _SET, "--x", "1/2", "--y", "1/0"],
+     "--y", "1/0"),
+    (["intervals", "ddx", "--set", _SET, "--x", "", "--y", "0"], "--x", ""),
+    (["intervals", "translate", "--set", _SET, "--other", _SET,
+      "--tol=-1/0"], "--tol", "-1/0"),
+]
+
+
 class TestExitCodes:
     def test_success(self, capsys):
         code, out, err = run(capsys, "deck", "--n", "5", "--set", "0,1",
@@ -104,6 +120,26 @@ class TestExitCodes:
         code, out, err = run(capsys, "rline", *argv)
         assert code == EXIT_DOMAIN and out == ""
         assert err == "trideck: error: grid step must be positive and finite\n"
+
+    # A rational argument that does not parse names its option and text.
+    @pytest.mark.parametrize("argv, option, text", _BAD_RATIONALS,
+                             ids=[" ".join(c[0]) for c in _BAD_RATIONALS])
+    def test_bad_rational_names_option(self, capsys, argv, option, text):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_DOMAIN and out == ""
+        assert err == (f"trideck: error: {option} {text!r} is not a "
+                       "rational number\n")
+
+    @given(st.text("0123456789/+-. e_\u0663\u00b2x", max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_rational_is_fraction(self, text):
+        try:
+            want = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(trideck.DomainError):
+                cli._rational(text, "--x")
+        else:
+            assert cli._rational(text, "--x") == want
 
     # Each of these grids is refused before it is allocated too.
     @pytest.mark.parametrize("pair", [
@@ -282,6 +318,94 @@ class TestSubcommands:
         res = json.loads(out)
         assert code == EXIT_OK
         assert res["deviations"][0][1] == pytest.approx(0.1, abs=2 / 256)
+
+
+def _json_values(keys):
+    return st.recursive(
+        st.one_of(st.none(), st.booleans(), st.integers(),
+                  st.floats(allow_nan=True, allow_infinity=True),
+                  st.sampled_from([-0.0, float("nan"), float("-inf")]),
+                  st.text()),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.dictionaries(keys, inner, max_size=4)),
+        max_leaves=20)
+
+
+# Keys of one kind per strategy, and a mix whose sort may raise TypeError.
+_JSON_KEYS = st.sampled_from([
+    st.text(), st.sampled_from(["\u00e9", "\u2603", "a\"b", "\\", "\n",
+                                "\x00", "\ud800", "\U0001f600"]),
+    st.integers(), st.floats(), st.booleans(),
+    st.one_of(st.none(), st.integers(-2, 2), st.text(max_size=1))])
+
+
+class TestJsonWriter:
+    """cli._dumps writes what json.dumps(x, indent=2, sort_keys=True)
+    writes, or raises the same exception type."""
+
+    @staticmethod
+    def _assert_same(x):
+        try:
+            want = json.dumps(x, indent=2, sort_keys=True)
+        except TypeError:
+            with pytest.raises(TypeError):
+                cli._dumps(x)
+        else:
+            assert cli._dumps(x) == want
+
+    @given(_JSON_KEYS.flatmap(_json_values))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_json_dumps(self, x):
+        self._assert_same(x)
+
+    @pytest.mark.parametrize("x", [
+        {}, [], (), {"a": []}, {"a": {}}, [[]], [{}, [], ()],
+        {"b": [1, [2, {"c": ()}]], "a": None}, [np.float64(1.5), 2],
+        {1: "int", 2.5: "float"}, {None: [1]}, {True: {"x": [1]}},
+        {(1, 2): 0}, {(1, 2): [1]}, [{1, 2}], {"a": [object()]},
+        {1: 0, "a": 0}, {1: [0], "a": [0]}])
+    def test_edge_cases(self, x):
+        self._assert_same(x)
+
+    def test_every_command(self, tmp_path):
+        g = str(tmp_path / "g.csv")
+        trideck.SampledFunction(1 / 64, 0.0, np.ones(64)).save_csv(g)
+        spec = json.dumps({"intervals": [["0", "1"], ["3/2", "2"]]})
+        pair = ["--k", "3", "--h", "1/64", "--half-width", "16",
+                "--tail-tol", "0.05", "--stride", "16"]
+        runs = {
+            ("deck",): ["--n", "6", "--values", "1/2,1,0,3,1,2"],
+            ("bispectrum",): ["--n", "5", "--set", "0,1"],
+            ("reconstruct",): ["--values", "1,2,3,1,5,1,1,2"],
+            ("zeros",): ["--n", "9", "--set", "0,1,2"],
+            ("classify",): ["--n", "9", "--set", "0,1,2"],
+            ("sweep",): ["--n", "8"],
+            ("gm",): ["--p", "2", "--q", "3", "--r", "3"],
+            ("survey",): ["--n", "10"],
+            ("allk",): ["--n", "18", "--set", "0,1,3,4,5,6,7,8,11",
+                        "--other", "0,7,10,11,12,13,14,15,17"],
+            ("intervals", "deck"): ["--set", spec, "--x", "1/4",
+                                    "--y", "1/2"],
+            ("intervals", "gaps"): ["--set", spec],
+            ("intervals", "ddx"): ["--set", spec, "--x=-1/4", "--y", "1/8"],
+            ("intervals", "translate"): ["--set", spec, "--other", spec],
+            ("rline", "cospair"): pair,
+            ("rline", "riesz"): ["--signs", "1,-1", "--amps", "1/2,1/4",
+                                 *pair],
+            ("rline", "stability"): ["--in", g],
+            ("rline", "norms"): ["--draws", "3"],
+            ("rline", "continuity"): ["--radii", "0.1,0.05"],
+        }
+        assert sorted(runs) == sorted(tuple(w) for w in _leaves())
+        for words, rest in runs.items():
+            args = cli._parse([*words, *rest])
+            result, text = args.func(args)
+            if text is not None:  # deck prints finished text
+                result = json.loads(text)
+                assert cli._dumps(result) + "\n" == text
+            self._assert_same(result)
 
 
 class TestArtifacts:

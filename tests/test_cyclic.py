@@ -93,6 +93,47 @@ class TestCyclicFunction:
         assert td.CyclicFunction.from_json_dict(
             json.loads(json.dumps(f.to_json_dict()))) == f
 
+    # 3 + 7e-10 is 7e-10 from 3 but 3e-10 from 3 + 1/10^9: a threshold of
+    # 1e-9 in place of 5e-10 would round it to 3.
+    _EDGES = [3 + 7e-10, 3 + 4.99e-10, 3 + 5.01e-10, -3 - 4.99e-10,
+              -3 - 5.01e-10, 5e-10, np.nextafter(5e-10, 0), -5e-10, 1e-9,
+              0.0, -0.0, 0.5, -0.5, 2.5, -7.5, 1 / 3, -2 / 3, 0.1,
+              2.0**53, -(2.0**53), 2.0**53 - 1, 2.0**52 + 0.5, 1e15 + 0.25,
+              123456.000000001, -123456.999999999, 5e-324]
+
+    @staticmethod
+    def _assert_limit_denominator(xs):
+        got = td.CyclicFunction.from_floats(xs).values
+        want = [Fraction(float(x)).limit_denominator(10**9) for x in xs]
+        assert [(v.numerator, v.denominator) for v in got] == \
+            [(v.numerator, v.denominator) for v in want]
+
+    def test_from_floats_is_limit_denominator(self):
+        self._assert_limit_denominator(self._EDGES)
+        self._assert_limit_denominator(np.array(self._EDGES))
+        m = np.arange(-4, 5, dtype=np.float64)
+        near = [np.nextafter(b + s * 5e-10, b) for b in m for s in (-1, 1)]
+        far = [np.nextafter(b + s * 5e-10, b + s) for b in m for s in (-1, 1)]
+        self._assert_limit_denominator(near + far)
+
+    @given(st.lists(st.one_of(
+        st.floats(-2.0**53, 2.0**53),
+        st.integers(-50, 50).flatmap(lambda m: st.floats(
+            m - 2e-9, m + 2e-9))), min_size=1))
+    @settings(max_examples=200, deadline=None)
+    def test_from_floats_is_limit_denominator_fuzz(self, xs):
+        self._assert_limit_denominator(xs)
+
+    @pytest.mark.parametrize("bad, error", [
+        (float("nan"), ValueError), (float("inf"), OverflowError),
+        (float("-inf"), OverflowError)])
+    def test_from_floats_non_finite(self, bad, error):
+        with pytest.raises(error) as old:
+            Fraction(bad).limit_denominator(10**9)
+        with pytest.raises(error) as new:
+            td.CyclicFunction.from_floats([1.0, bad, 2.5])
+        assert str(new.value) == str(old.value)
+
     def test_n1_degenerate(self):
         f = td.CyclicFunction.of([3])
         d = td.k_deck(f, 3)
@@ -285,6 +326,14 @@ class TestTranslation:
     def test_translate_direction(self):
         f = td.CyclicFunction.of([5, 0, 0])
         assert td.translate(f, 1).values[1] == 5
+
+    def test_translate_matches_index_definition(self):
+        for n in range(1, 10):
+            f = td.CyclicFunction(n, tuple(Fraction(j * j + 1, 3)
+                                           for j in range(n)))
+            for a in range(-2 * n, 2 * n + 1):
+                assert td.translate(f, a).values == tuple(
+                    f.values[(j - a) % n] for j in range(n))
 
     def test_equal_up_to_translation_least_shift(self):
         f = td.CyclicFunction.of([1, 1, 0, 0])  # period 4, orbit size 4
