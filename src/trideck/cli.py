@@ -88,6 +88,16 @@ def _rational(text: str, option: str) -> Fraction:
             f"{option} {text!r} is not a rational number") from None
 
 
+def _real(text: str, option: str) -> float:
+    """float(_rational(text, option)), or a DomainError that names both
+    when the rational is too large for a float."""
+    try:
+        return float(_rational(text, option))
+    except OverflowError:
+        raise DomainError(
+            f"{option} {text!r} is too large for a float") from None
+
+
 def _function_from_args(args) -> CyclicFunction:
     """The function --values gives, or the indicator of --set in Z/nZ."""
     if args.values is not None:
@@ -199,13 +209,13 @@ def _charge_grid(samples: float, budget=None) -> None:
 def _step(text: str) -> float:
     """A --h value, refused unless positive and finite before any grid is
     sized from it."""
-    h = float(_rational(text, "--h"))
+    h = _real(text, "--h")
     _check_step(h)
     return h
 
 
 def _pair_summary(f: SampledFunction, g: SampledFunction, args):
-    m = int(round(float(_rational(args.max_x, "--max-x")) / f.h))
+    m = int(round(_real(args.max_x, "--max-x") / f.h))
     Nf = three_deck_grid(f, m, args.stride, args.budget)
     Ng = three_deck_grid(g, m, args.stride, args.budget)
     scale = float(np.max(np.abs(Nf.values)))
@@ -234,8 +244,7 @@ def _cmd_rline_riesz(args):
     h = _step(args.h)
     _charge_grid(2 * args.half_width / h + 1, args.budget)
     f, g = riesz_pair(_int_list(args.signs),
-                      [float(_rational(a, "--amps"))
-                       for a in args.amps.split(",")],
+                      [_real(a, "--amps") for a in args.amps.split(",")],
                       args.k, h, args.half_width, args.tail_tol)
     return _pair_summary(f, g, args), None
 
@@ -281,7 +290,7 @@ def _cmd_rline_continuity(args):
         h = _step(args.h)
         _charge_grid(1 / h)
         f = SampledFunction(h, 0.0, np.ones(int(round(1 / h))))
-    radii = [float(_rational(r, "--radii")) for r in args.radii.split(",")]
+    radii = [_real(r, "--radii") for r in args.radii.split(",")]
     devs = continuity_probe(f, args.k, radii)
     return {"k": args.k, "limit": f.riemann(args.k + 1),
             "deviations": [[r, d] for r, d in devs]}, None

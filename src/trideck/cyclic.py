@@ -135,6 +135,22 @@ class Spectrum:
         return complex(self.values[l % self.n])
 
 
+def _sorted_index(n: int, r: int) -> np.ndarray:
+    """For each r-tuple over range(n), in row-major order, the row-major
+    index of the same tuple sorted ascending: a bubble-sort network of
+    min/max pairs over one broadcast array per digit."""
+    digits = [np.arange(n).reshape((n,) + (1,) * (r - 1 - i))
+              for i in range(r)]
+    for top in range(r - 1, 0, -1):
+        for i in range(top):
+            a, b = digits[i], digits[i + 1]
+            digits[i], digits[i + 1] = np.minimum(a, b), np.maximum(a, b)
+    index = 0
+    for d in digits:
+        index = index * n + d
+    return np.reshape(index, -1)
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class KDeck:
     """N_f^k as a dense row-major tensor over (Z/nZ)^(k-1).
@@ -181,15 +197,12 @@ class KDeck:
             return v / d  # both operands exact in float64: one rounding
         return (v.astype(object) / d).astype(np.float64)  # int / int
 
-    def _entries(self, fmt=None, quote="") -> list:
-        """Flat entries, an int or "p/q" per exact entry, in its own lowest
-        terms, and a float per float entry: as JSON scalars when fmt is
-        None, else as text, fmt(t) per float entry and p/q wrapped in quote
-        per exact one.  The deck counts translates of the multiset
-        {0, j_1, ..., j_{k-1}}, so it is symmetric under S_k and a value
-        recurs up to k! times; each distinct exact value is reduced and
+    def _entries(self, flat: np.ndarray, fmt=None, quote="") -> list:
+        """The entries of flat, an int or "p/q" per exact entry, in its own
+        lowest terms, and a float per float entry: as JSON scalars when fmt
+        is None, else as text, fmt(t) per float entry and p/q wrapped in
+        quote per exact one.  Each distinct exact value is reduced and
         formatted once and indexed back into place."""
-        flat = self.values.reshape(-1)
         if not self.exact:  # np.unique would merge -0.0 into 0.0
             return flat.tolist() if fmt is None \
                 else [fmt(t) for t in flat.tolist()]
@@ -206,20 +219,55 @@ class KDeck:
                       for a, b in pairs]
         return np.array(tokens, dtype=object)[inverse].tolist()
 
+    def _rows(self, sep: str, fmt, quote="") -> list[str]:
+        """The text of each row (the last axis) in row-major order: its n
+        entries as _entries formats them, joined by sep.
+
+        The deck counts translates of the multiset {0, j_1, ..., j_{k-1}},
+        so it is symmetric in its arguments, and the row at the prefix
+        (j_1, ..., j_{k-2}) is the row at the same prefix sorted.  Only the
+        rows at sorted prefixes are formatted; every other row takes the
+        text of its sorted prefix.  A deck built or loaded by hand need not
+        be symmetric, so the values are first checked for invariance under
+        every swap of adjacent prefix axes, a float deck bit for bit so that
+        -0.0 and 0.0 stay apart; when that fails, or the prefix has fewer
+        than two indices, no row is shared and the rows are taken in
+        place."""
+        n, r = self.n, self.k - 2
+        v = self.values
+        rows = v.reshape(-1, n)
+        bits = v.view(f"u{v.itemsize}") if v.dtype.kind == "f" else v
+        shared = r > 1 and all(
+            np.array_equal(bits, np.swapaxes(bits, i, i + 1))
+            for i in range(r - 1))
+        if shared:
+            source = _sorted_index(n, r)
+            own = source == np.arange(n ** r)
+            rows = rows[own]
+        flat = self._entries(rows.reshape(-1), fmt, quote)
+        texts = [sep.join(flat[i:i + n]) for i in range(0, len(flat), n)]
+        if not shared:
+            return texts
+        return np.array(texts, dtype=object)[
+            (np.cumsum(own) - 1)[source]].tolist()
+
     def _header(self) -> dict:
         return {"n": self.n, "k": self.k, "convention": "positive-exponent"}
 
     def to_json_dict(self) -> dict:
-        return {**self._header(), "values": self._entries()}
+        return {**self._header(),
+                "values": self._entries(self.values.reshape(-1))}
 
     def to_json(self) -> str:
         """The text of json.dumps(self.to_json_dict(), indent=2,
-        sort_keys=True), with each distinct entry encoded once."""
+        sort_keys=True), built from the row texts of _rows."""
         # head ends in "\n}", and "values" sorts after the header's keys;
         # an exact token, str(a) or "a/b", is json.dumps' text for it
         head = json.dumps(self._header(), indent=2, sort_keys=True)
-        values = ",\n    ".join(self._entries(json.dumps, quote='"'))
-        return f'{head[:-2]},\n  "values": [\n    {values}\n  ]\n}}'
+        rows = self._rows(",\n    ", json.dumps, quote='"')
+        rows[0] = f'{head[:-2]},\n  "values": [\n    {rows[0]}'
+        rows[-1] += "\n  ]\n}"
+        return ",\n    ".join(rows)
 
     @classmethod
     def from_json_dict(cls, d) -> "KDeck":
@@ -257,11 +305,8 @@ class KDeck:
             raise DomainError(f"bad deck value: {e}") from None
 
     def to_csv(self) -> str:
-        lines = [f"# n={self.n},k={self.k},convention=positive-exponent"]
-        flat = self._entries(str)
-        for i in range(0, len(flat), self.n):
-            lines.append(",".join(flat[i:i + self.n]))
-        return "\n".join(lines) + "\n"
+        head = f"# n={self.n},k={self.k},convention=positive-exponent"
+        return "\n".join([head, *self._rows(",", str), ""])
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -48,6 +48,15 @@ _BAD_RATIONALS = [
     (["intervals", "translate", "--set", _SET, "--other", _SET,
       "--tol=-1/0"], "--tol", "-1/0"),
 ]
+_HUGE_RATIONALS = [
+    (["rline", "cospair", "--h", "1e999"], "--h"),
+    (["rline", "cospair", "--max-x", "1e999"], "--max-x"),
+    (["rline", "riesz", "--signs", "1,1", "--amps", "1e999,1"], "--amps"),
+    (["rline", "riesz", "--signs", "1,1", "--amps", "1,1", "--h", "1e999"],
+     "--h"),
+    (["rline", "continuity", "--radii", "1e999"], "--radii"),
+    (["rline", "continuity", "--h", "1e999"], "--h"),
+]
 
 
 class TestExitCodes:
@@ -129,6 +138,16 @@ class TestExitCodes:
         assert code == EXIT_DOMAIN and out == ""
         assert err == (f"trideck: error: {option} {text!r} is not a "
                        "rational number\n")
+
+    # A rational too large for a float names its option and text; float()
+    # raised OverflowError, which main did not catch.
+    @pytest.mark.parametrize("argv, option", _HUGE_RATIONALS,
+                             ids=[" ".join(c[0]) for c in _HUGE_RATIONALS])
+    def test_huge_rational_names_option(self, capsys, argv, option):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_DOMAIN and out == ""
+        assert err == (f"trideck: error: {option} '1e999' is too large for "
+                       "a float\n")
 
     @given(st.text("0123456789/+-. e_\u0663\u00b2x", max_size=8))
     @settings(max_examples=300, deadline=None)

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import trideck as td
 from trideck import cyclic
-from trideck.cyclic import _deck_int64, _shift_matrix
+from trideck.cyclic import _deck_int64, _shift_matrix, _sorted_index
 from trideck.errors import BudgetError, DomainError, ShapeMismatchError
 
 
@@ -72,6 +73,41 @@ def small_functions(max_n=12, max_val=9):
     return st.integers(2, max_n).flatmap(
         lambda n: st.lists(st.integers(0, max_val),
                            min_size=n, max_size=n)).map(td.CyclicFunction.of)
+
+
+def _float_mirror_zero():
+    """A float 4-deck symmetric in its prefix axes except at one mirrored
+    pair of entries, which holds 0.0 and -0.0."""
+    v = np.arange(27.0).reshape(3, 3, 3)
+    v = v + v.transpose(1, 0, 2)
+    v[0, 1, 2], v[1, 0, 2] = 0.0, -0.0
+    return td.KDeck(3, 4, v)
+
+
+_DECKS = [
+    lambda: td.k_deck(td.CyclicFunction.of([2, 1, 0, 5]), 4),  # int64
+    # int64 entries over a denominator beyond int64
+    lambda: td.k_deck(td.CyclicFunction.of([Fraction(1, 3**30), 0]), 3),
+    lambda: td.k_deck(td.CyclicFunction.of(  # object entries
+        [f"{10**12 + 1}/3", 1, "2/9", 0]), 3),
+    lambda: td.three_deck_fft(td.CyclicFunction.of([2, "1/3", 0, 7])),
+    lambda: td.KDeck(2, 3, np.array([[0.0, -0.0], [1.5, 0.0]])),
+    # signed entries summed in int64: 3 * 1000001^3 is past 2^53
+    lambda: td.k_deck(td.CyclicFunction(3, tuple(map(Fraction, [
+        "-1000001/7", "3/7", "-5/7"]))), 3),
+    lambda: td.k_deck(td.CyclicFunction(3, tuple(map(Fraction, [
+        "-1/6", "3/4", 2]))), 3),  # signed, summed in float64
+    lambda: td.k_deck(td.CyclicFunction.of(["1/2", 3, 0, "5/3"]), 2),
+    lambda: td.k_deck(td.CyclicFunction.of(["7/2"]), 4),  # n = 1
+    lambda: td.k_deck(td.CyclicFunction.of([1, "1/2", 0, 3]), 5),
+    lambda: td.k_deck(td.CyclicFunction.of([2, 0, "1/3"]), 6),
+    # exact, but not symmetric in its prefix axes
+    lambda: td.KDeck(3, 4, np.arange(27).reshape(3, 3, 3), 2),
+    _float_mirror_zero,
+]
+_DECK_IDS = ["int64", "int64-over-3^90", "object", "fft", "signed-zero",
+             "signed-int64-core", "signed-float64-core", "k2", "n1", "k5",
+             "k6", "asymmetric", "mirrored-zeros"]
 
 
 class TestCyclicFunction:
@@ -262,21 +298,7 @@ class TestKDeck:
         assert csv.startswith("# n=3,k=3,convention=positive-exponent")
         assert len(csv.strip().splitlines()) == 4
 
-    @pytest.mark.parametrize("deck", [
-        lambda: td.k_deck(td.CyclicFunction.of([2, 1, 0, 5]), 4),  # int64
-        # int64 entries over a denominator beyond int64
-        lambda: td.k_deck(td.CyclicFunction.of([Fraction(1, 3**30), 0]), 3),
-        lambda: td.k_deck(td.CyclicFunction.of(  # object entries
-            [f"{10**12 + 1}/3", 1, "2/9", 0]), 3),
-        lambda: td.three_deck_fft(td.CyclicFunction.of([2, "1/3", 0, 7])),
-        lambda: td.KDeck(2, 3, np.array([[0.0, -0.0], [1.5, 0.0]])),
-        # signed entries summed in int64: 3 * 1000001^3 is past 2^53
-        lambda: td.k_deck(td.CyclicFunction(3, tuple(map(Fraction, [
-            "-1000001/7", "3/7", "-5/7"]))), 3),
-        lambda: td.k_deck(td.CyclicFunction(3, tuple(map(Fraction, [
-            "-1/6", "3/4", 2]))), 3),  # signed, summed in float64
-    ], ids=["int64", "int64-over-3^90", "object", "fft", "signed-zero",
-            "signed-int64-core", "signed-float64-core"])
+    @pytest.mark.parametrize("deck", _DECKS, ids=_DECK_IDS)
     def test_to_json_is_the_plain_encoding(self, deck):
         d = deck()
         flat = d.values.reshape(-1).tolist()
@@ -288,6 +310,24 @@ class TestKDeck:
         text = json.dumps(plain, indent=2, sort_keys=True)
         assert d.to_json() == text
         assert json.dumps(d.to_json_dict(), indent=2, sort_keys=True) == text
+
+    @pytest.mark.parametrize("deck", _DECKS, ids=_DECK_IDS)
+    def test_to_csv_is_the_plain_encoding(self, deck):
+        d = deck()
+        flat = d.values.reshape(-1).tolist()
+        if d.exact:
+            flat = [Fraction(x, d.denominator) for x in flat]
+        rows = [",".join(map(str, flat[i:i + d.n]))
+                for i in range(0, len(flat), d.n)]
+        assert d.to_csv() == "\n".join(
+            [f"# n={d.n},k={d.k},convention=positive-exponent", *rows, ""])
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("r", range(5))
+    def test_sorted_index(self, n, r):
+        want = [sum(j * n ** (r - 1 - i) for i, j in enumerate(sorted(t)))
+                for t in itertools.product(range(n), repeat=r)]
+        assert _sorted_index(n, r).tolist() == want
 
     def test_modulus_below_one_rejected(self):
         with pytest.raises(DomainError):
