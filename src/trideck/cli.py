@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import platform
+import re
 import sys
 import time
 from fractions import Fraction
@@ -47,6 +48,13 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A word that is no option of the parser and starts with "-" and a
+        # digit, or "-." and a digit, is a value: -1/256, -1e999 and -1,2
+        # as well as the -1 and -0.5 that argparse already takes.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):  # argparse would sys.exit(2); we want 64
         raise _UsageError(f"{self.prog}: error: {message}\n"
                           f"{self.format_usage()}")

@@ -9,7 +9,6 @@ decks), the Grunbaum-Moore style pair of non-translate sets with equal
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from fractions import Fraction
 from typing import Optional
@@ -80,32 +79,58 @@ def _orbit_reps(n: int) -> np.ndarray:
                            np.full(1, (1 << n) - 1, dtype)])
 
 
-def _deck_columns(reps: np.ndarray, n: int,
-                  offsets: list[tuple[int, ...]]):
-    """Deck entries of 0/1 sets, one uint8 array per offset tuple in turn:
-    N(a_1, ..., a_{k-1}) of a set A is |A & (A - a_1) & ...|, the popcount
-    of its mask ANDed with the mask's rotations by each a_i.  Entries lie
-    in [0, n], so uint8 holds them exactly."""
-    rot = [reps] + [_rotate(reps, n, a) for a in range(1, n)]
-    for offset in offsets:
-        acc = reps
-        for a in offset:
-            acc = acc & rot[a]
-        yield np.bitwise_count(acc)
+def _rotations(masks: np.ndarray, n: int) -> list[np.ndarray]:
+    """rot[a] is the masks rotated by a, for a in range(n); rot[0] is
+    masks itself."""
+    return [masks] + [_rotate(masks, n, a) for a in range(1, n)]
 
 
-def _stage1_hash(reps: np.ndarray, n: int,
-                 offsets: list[tuple[int, ...]]) -> np.ndarray:
-    """A 64-bit rolling hash of each mask's deck entries at `offsets`,
-    h <- h * P + entry mod 2^64, over chunks of masks so that only one
-    chunk's n rotations are held.  Equal entries give equal hashes."""
+def _prefix_ands(rot: list[np.ndarray], depth: int, first: int,
+                 lo: int = 0, acc: Optional[np.ndarray] = None):
+    """For each offset prefix lo <= a_1 <= ... <= a_depth < n = len(rot)
+    with a_1 < first, in lexicographic order: a_depth (lo for the empty
+    prefix) and the prefix's AND, rot[0] & rot[a_1] & ... & rot[a_depth],
+    each one AND on its parent's.
+
+    The deck entry N(a_1, ..., a_{k-1}) of a set A is |A & (A - a_1) &
+    ...|, so popcount(acc & rot[a]) for a >= a_depth is the entry at the
+    prefix followed by a, with k - 1 = depth + 1.  Entries lie in [0, n],
+    so uint8 holds them exactly."""
+    acc = rot[0] if acc is None else acc
+    if depth == 0:
+        yield lo, acc
+        return
+    for a in range(lo, first):
+        yield from _prefix_ands(rot, depth - 1, len(rot), a, acc & rot[a])
+
+
+def _stage1_hash(reps: np.ndarray, n: int, k: int) -> np.ndarray:
+    """A 64-bit rolling hash of each mask's k-deck entries at the offset
+    tuples with a_1 < _FIRST_STAGE, in lexicographic order, h <- h * P +
+    entry mod 2^64, over chunks of masks so that only one chunk's n
+    rotations are held.  Equal entries give equal hashes."""
     h = np.zeros(len(reps), dtype=np.uint64)
+    first = min(n, _FIRST_STAGE)
+    stop = n if k > 2 else first
     for start in range(0, len(reps), _HASH_CHUNK):
         part = h[start:start + _HASH_CHUNK]
-        for col in _deck_columns(reps[start:start + _HASH_CHUNK], n, offsets):
-            part *= _HASH_P
-            part += col
+        rot = _rotations(reps[start:start + _HASH_CHUNK], n)
+        for lo, acc in _prefix_ands(rot, k - 2, first):
+            for a in range(lo, stop):
+                part *= _HASH_P
+                part += np.bitwise_count(acc & rot[a])
+        del rot  # before the next chunk's rotations are made
     return h
+
+
+def _deck_rows(masks: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Each mask's full k-deck entries at 0 <= a_1 <= ... <= a_{k-1} < n,
+    in lexicographic order, one uint8 row per mask."""
+    rot = _rotations(masks, n)
+    R = np.stack(rot, axis=1)  # R[i, a]: mask i rotated by a
+    return np.concatenate(
+        [np.bitwise_count(acc[:, None] & R[:, lo:])
+         for lo, acc in _prefix_ands(rot, k - 2, n)], axis=1)
 
 
 def _colliding(h: np.ndarray) -> np.ndarray:
@@ -178,11 +203,8 @@ def exhaustive_determinacy(n: int, k: int,
                           "over the compute budget")
 
     reps = _orbit_reps(n)
-    offsets = list(itertools.combinations_with_replacement(range(n), k - 1))
-    colliding = reps[_colliding(
-        _stage1_hash(reps, n, [a for a in offsets if a[0] < _FIRST_STAGE]))]
-    group, sizes = _group_rows(
-        np.stack(list(_deck_columns(colliding, n, offsets)), axis=1))
+    colliding = reps[_colliding(_stage1_hash(reps, n, k))]
+    group, sizes = _group_rows(_deck_rows(colliding, n, k))
     classes: dict[int, list[int]] = {}
     for g, mask in zip(group.tolist(), colliding.tolist()):
         classes.setdefault(g, []).append(mask)
@@ -278,29 +300,44 @@ def _wilson(hits: int, m: int) -> tuple[float, float]:
     return max(center - half, 0.0), min(center + half, 1.0)
 
 
-def _residue_matrices(n: int) -> list[np.ndarray]:
-    """For each divisor d > 1 of n: the matrix of x^j mod Phi_d, so that
-    bits @ M == 0 exactly when Phi_d | P_E."""
-    mats = []
-    for d in range(2, n + 1):
-        if n % d:
-            continue
+def _residue_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """M, the columns of x^j mod Phi_d for every divisor d > 1 of n side by
+    side (phi(d) of them each, n - 1 in all), and the 0/1 float64 matrix
+    `block` whose column for d sums d's columns.  Row i of bits @ M holds
+    the remainders mod each Phi_d of the polynomial sum_j bits[i, j] x^j,
+    so Phi_d divides it exactly when d's columns of that row are all zero.
+
+    M is float64 when n * max|M| < 2^53, and bits @ M is still exact:
+    bits are 0 or 1, so every product is 0 or an entry of M, and every
+    partial sum, in whatever order BLAS adds, is an integer of magnitude
+    at most n * max|M|.  float64 holds every such integer exactly, so no
+    step rounds.  Otherwise M stays int64."""
+    divisors = [d for d in range(2, n + 1) if n % d == 0]
+    M = np.zeros((n, n - 1), dtype=np.int64)  # phi(1) + those phi(d) = n
+    block = np.zeros((n - 1, len(divisors)))
+    start = 0
+    for i, d in enumerate(divisors):
         phi = cyclotomic(d)
-        M = np.zeros((n, len(phi) - 1), dtype=np.int64)
         row: tuple[int, ...] = (1,)
         for j in range(n):
-            M[j, :len(row)] = row
+            M[j, start:start + len(row)] = row
             row = poly_divmod((0,) + row, phi)[1]  # x * row mod Phi_d
-        mats.append(M)
-    return mats
+        block[start:start + len(phi) - 1, i] = 1
+        start += len(phi) - 1
+    if n * int(np.abs(M).max(initial=0)) < 2**53:
+        M = M.astype(np.float64)
+    return M, block
 
 
-def _chunk_hits(bits: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
-    has_zero = np.zeros(bits.shape[0], dtype=bool)
-    for M in mats:
-        res = bits @ M
-        has_zero |= np.all(res == 0, axis=1)
-    return has_zero
+def _has_zero(bits: np.ndarray, M: np.ndarray,
+              block: np.ndarray) -> np.ndarray:
+    """Whether each row of 0/1 bits has a spectral zero: whether, for some
+    divisor, |bits @ M| summed over that divisor's columns is 0.  A sum of
+    nonnegative numbers is 0 only when each is, in float64 too, so this is
+    ((bits @ M != 0) @ block == 0).any(axis=1) without the bool copy."""
+    res = bits @ M
+    np.abs(res, out=res)
+    return (res @ block == 0).any(axis=1)
 
 
 def survey_zero_proportion(n: int, samples: Optional[int] = None,
@@ -318,7 +355,7 @@ def survey_zero_proportion(n: int, samples: Optional[int] = None,
         raise DomainError(f"modulus must be >= 1, got {n}")
     if mode not in ("auto", "exhaustive", "sampled"):
         raise DomainError(f"unknown survey mode {mode!r}")
-    mats = _residue_matrices(n)
+    M, block = _residue_matrix(n)
     exhaustive = (mode == "exhaustive") or (mode == "auto" and 2**n <= 2**20)
     if exhaustive:
         if 2**n > 2**20:
@@ -328,13 +365,15 @@ def survey_zero_proportion(n: int, samples: Optional[int] = None,
         for a in range(n - 1, 0, -1):  # the least period is set last
             if n % a == 0:
                 size[_rotate(reps, n, a) == reps] = a
-        shifts = np.arange(n, dtype=reps.dtype)
+        # bit j of a mask is bit j % 8 of its byte j // 8, little-endian
+        raw = reps.astype(reps.dtype.newbyteorder("<")).view(np.uint8)
+        raw = raw.reshape(len(reps), -1)
         hits = 0
         for start in range(0, len(reps), _SURVEY_CHUNK):
-            part = reps[start:start + _SURVEY_CHUNK]
-            bits = ((part[:, None] >> shifts) & 1).astype(np.int64)
+            bits = np.unpackbits(raw[start:start + _SURVEY_CHUNK], axis=1,
+                                 count=n, bitorder="little")
             hits += int(size[start:start + _SURVEY_CHUNK]
-                        [_chunk_hits(bits, mats)].sum())
+                        [_has_zero(bits, M, block)].sum())
         total = int(size.sum())
         lo, hi = hits / total, hits / total
         return SurveyResult(n, "exhaustive", total, hits, hits / total,
@@ -347,7 +386,7 @@ def survey_zero_proportion(n: int, samples: Optional[int] = None,
     while done < samples:
         m = min(samples - done, 1 << 14)
         bits = rng.integers(0, 2, size=(m, n), dtype=np.int64)
-        hits += int(np.sum(_chunk_hits(bits, mats)))
+        hits += int(np.sum(_has_zero(bits, M, block)))
         done += m
     lo, hi = _wilson(hits, samples)
     return SurveyResult(n, "sampled", samples, hits, hits / samples,

@@ -57,6 +57,17 @@ _HUGE_RATIONALS = [
     (["rline", "continuity", "--radii", "1e999"], "--radii"),
     (["rline", "continuity", "--h", "1e999"], "--h"),
 ]
+# Every option that takes a rational, after the words its command needs.
+_RATIONAL_OPTIONS = [
+    (["deck", "--k", "2"], "--values"),
+    (["intervals", "deck", "--set", _SET, "--y", "0"], "--x"),
+    (["intervals", "ddx", "--set", _SET, "--x", "0"], "--y"),
+    (["intervals", "translate", "--set", _SET, "--other", _SET], "--tol"),
+    (["rline", "cospair"], "--h"),
+    (["rline", "cospair", "--h", "1/8", "--half-width", "8"], "--max-x"),
+    (["rline", "riesz", "--signs", "1"], "--amps"),
+    (["rline", "continuity", "--h", "1/8"], "--radii"),
+]
 
 
 class TestExitCodes:
@@ -129,6 +140,25 @@ class TestExitCodes:
         code, out, err = run(capsys, "rline", *argv)
         assert code == EXIT_DOMAIN and out == ""
         assert err == "trideck: error: grid step must be positive and finite\n"
+
+    # A negative value given as its own word is the same value as after
+    # "=": argparse took -1/256 and -1e999 for unknown options (exit 64).
+    @pytest.mark.parametrize("value", ["-1/256", "-1e999", "-0.5"])
+    @pytest.mark.parametrize("argv, option", _RATIONAL_OPTIONS,
+                             ids=[c[1] for c in _RATIONAL_OPTIONS])
+    def test_negative_value_as_its_own_word(self, capsys, argv, option,
+                                            value):
+        code, out, err = run(capsys, *argv, option, value)
+        want = run(capsys, *argv, f"{option}={value}")
+        assert code == want[0] != EXIT_USAGE and out == want[1]
+        if code != EXIT_OK:  # the manifest on success holds a wall time
+            assert err == want[2]
+
+    @pytest.mark.parametrize("option", ["--max-x", "-h", "--max"])
+    def test_options_are_still_options(self, capsys, option):
+        code, out, err = run(capsys, "rline", "cospair", "--h", option, "2")
+        assert code == EXIT_USAGE and out == ""
+        assert "argument --h: expected one argument" in err
 
     # A rational argument that does not parse names its option and text.
     @pytest.mark.parametrize("argv, option, text", _BAD_RATIONALS,

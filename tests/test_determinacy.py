@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -7,7 +8,9 @@ import pytest
 
 import trideck as td
 from trideck import determinacy
-from trideck.determinacy import _least_in_orbit, _orbit_reps, _wilson
+from trideck.cyclotomic import cyclotomic, poly_divmod
+from trideck.determinacy import (_least_in_orbit, _orbit_reps, _rotate,
+                                 _wilson)
 from trideck.errors import BudgetError, DomainError
 
 
@@ -32,11 +35,42 @@ def _sweep_by_loop(n, k):
         {"orbit_reps": len(reps), "deck_classes": len(classes)})
 
 
+def _hash_by_columns(reps, n, k):
+    """The stage-1 hash as a reference: for each offset tuple with
+    a_1 < 3, in lexicographic order, the deck entry column of every mask,
+    folded in as h <- h * P + entry mod 2^64."""
+    h = np.zeros(len(reps), dtype=np.uint64)
+    for offset in itertools.combinations_with_replacement(range(n), k - 1):
+        if offset[0] < 3:
+            acc = reps
+            for a in offset:
+                acc = acc & (_rotate(reps, n, a) if a else reps)
+            h = h * determinacy._HASH_P + np.bitwise_count(acc)
+    return h
+
+
 def _burnside(n):
     phi = [sum(math.gcd(d, j) == 1 for j in range(1, d + 1))
            for d in range(n + 1)]
     return sum(phi[d] * 2 ** (n // d) for d in range(1, n + 1)
                if n % d == 0) // n
+
+
+def _zero_by_divisor(bits, n):
+    """Whether each 0/1 row has a spectral zero, by one int64 product per
+    divisor d > 1 of n: Phi_d | P_E exactly when bits @ M_d == 0, M_d
+    holding the residues of x^j mod Phi_d."""
+    has_zero = np.zeros(len(bits), dtype=bool)
+    for d in range(2, n + 1):
+        if n % d == 0:
+            phi = cyclotomic(d)
+            M = np.zeros((n, len(phi) - 1), dtype=np.int64)
+            row = (1,)
+            for j in range(n):
+                M[j, :len(row)] = row
+                row = poly_divmod((0,) + row, phi)[1]
+            has_zero |= np.all(bits @ M == 0, axis=1)
+    return has_zero
 
 
 class TestExhaustive:
@@ -96,7 +130,8 @@ class TestExhaustive:
 
     @pytest.mark.parametrize("n,k", [(n, k) for k in (2, 3)
                                      for n in range(1, 13)]
-                             + [(n, 4) for n in range(1, 11)])
+                             + [(n, 4) for n in range(1, 11)]
+                             + [(n, 5) for n in range(1, 9)])
     def test_matches_loop_reference(self, n, k):
         assert td.exhaustive_determinacy(n, k) == _sweep_by_loop(n, k)
 
@@ -118,16 +153,25 @@ class TestExhaustive:
         sizes = Counter(len(c) for c in rep.ambiguous_classes)
         assert sizes == ({2: 63, 4: 6} if n == 24 else {2: classes})
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_hash_never_decides(self, monkeypatch, k):
         # a hash that collides everywhere sends every orbit to the exact
         # stage, which must give the same report
-        reports = [td.exhaustive_determinacy(n, k) for n in range(1, 15)]
+        moduli = range(1, 11 if k == 5 else 15)
+        reports = [td.exhaustive_determinacy(n, k) for n in moduli]
         monkeypatch.setattr(
             determinacy, "_stage1_hash",
-            lambda reps, n, offsets: np.zeros(len(reps), dtype=np.uint64))
-        assert [td.exhaustive_determinacy(n, k)
-                for n in range(1, 15)] == reports
+            lambda reps, n, k: np.zeros(len(reps), dtype=np.uint64))
+        assert [td.exhaustive_determinacy(n, k) for n in moduli] == reports
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_stage1_hash_is_the_column_fold(self, k):
+        # one AND per offset prefix folds the same entries in the same
+        # order as one column per offset tuple
+        for n in range(1, 15):
+            reps = _orbit_reps(n)
+            assert np.array_equal(determinacy._stage1_hash(reps, n, k),
+                                  _hash_by_columns(reps, n, k)), n
 
     def test_budget_charges_kernel_work(self):
         td.exhaustive_determinacy(20, 3)  # fits the default budget
@@ -208,6 +252,46 @@ class TestSurvey:
                 .zeros - {0})
             r = td.survey_zero_proportion(n, mode="exhaustive")
             assert (r.hits, r.samples) == (hits, 1 << n), n
+
+    @pytest.mark.parametrize("n", range(13, 21))
+    def test_exhaustive_matches_divisor_check(self, n):
+        # the orbit-weighted count with one int64 product per divisor
+        reps = _orbit_reps(n)
+        size = np.full(len(reps), n)
+        for a in range(n - 1, 0, -1):
+            if n % a == 0:
+                size[_rotate(reps, n, a) == reps] = a
+        bits = (reps[:, None] >> np.arange(n, dtype=reps.dtype)) & 1
+        hits = int(size[_zero_by_divisor(bits.astype(np.int64), n)].sum())
+        r = td.survey_zero_proportion(n, mode="exhaustive")
+        assert (r.hits, r.samples) == (hits, 1 << n)
+
+    @pytest.mark.parametrize("n", [26, 105, 210])  # Phi_105 has a -2
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sampled_matches_divisor_check(self, n, seed):
+        rng = np.random.Generator(np.random.Philox(seed))
+        bits = rng.integers(0, 2, size=(2000, n), dtype=np.int64)
+        r = td.survey_zero_proportion(n, 2000, seed, "sampled")
+        assert r.hits == int(_zero_by_divisor(bits, n).sum())
+
+    @pytest.mark.parametrize("n", [*range(1, 65), 105, 210, 1155])
+    def test_residue_matrix_is_float_when_exact(self, n):
+        M, block = determinacy._residue_matrix(n)
+        exact = n * int(np.abs(M).max(initial=0)) < 2**53
+        assert M.dtype == (np.float64 if exact else np.int64)
+        assert M.shape == (n, n - 1)  # sum of phi(d) over d | n, d > 1
+        assert block.sum(axis=0).tolist() == [
+            len(cyclotomic(d)) - 1 for d in range(2, n + 1) if n % d == 0]
+
+    @pytest.mark.parametrize("c,dtype", [(2**51, np.float64),
+                                         (2**52, np.int64)])
+    def test_residue_matrix_keeps_int64_from_2_53(self, monkeypatch, c,
+                                                  dtype):
+        # x - c in place of Phi_2: at n = 2, M holds 1 and c, and n * c
+        # reaches 2^53 only at c = 2^52
+        monkeypatch.setattr(determinacy, "cyclotomic", lambda d: (-c, 1))
+        M, _ = determinacy._residue_matrix(2)
+        assert M.dtype == dtype and M[:, 0].tolist() == [1, c]
 
     def test_sampled_deterministic(self):
         a = td.survey_zero_proportion(26, samples=2000, seed=9)
