@@ -350,16 +350,23 @@ def survey_zero_proportion(n: int, samples: Optional[int] = None,
     The exhaustive count tests one representative per rotation orbit and
     weights it by the orbit size, its least period a | n.  That is exact:
     rotating a set by s multiplies chi_E_hat(l) by the unit zeta^(ls), so
-    every set of an orbit vanishes at the same l."""
+    every set of an orbit vanishes at the same l.  The n*(n-1) entries of
+    the residue matrix are charged to the compute budget before it is
+    built."""
     if n < 1:
         raise DomainError(f"modulus must be >= 1, got {n}")
     if mode not in ("auto", "exhaustive", "sampled"):
         raise DomainError(f"unknown survey mode {mode!r}")
-    M, block = _residue_matrix(n)
     exhaustive = (mode == "exhaustive") or (mode == "auto" and 2**n <= 2**20)
+    if exhaustive and 2**n > 2**20:
+        raise BudgetError(f"2^{n} subsets exceed the exhaustive limit")
+    if not exhaustive and (samples is None or samples < 1):
+        raise DomainError("sampled mode needs samples >= 1")
+    if n * (n - 1) > compute_budget():
+        raise BudgetError(f"the residue matrix at n={n} has {n * (n - 1)} "
+                          "entries, over the compute budget")
+    M, block = _residue_matrix(n)
     if exhaustive:
-        if 2**n > 2**20:
-            raise BudgetError(f"2^{n} subsets exceed the exhaustive limit")
         reps = _orbit_reps(n)
         size = np.full(len(reps), n, dtype=np.int64)
         for a in range(n - 1, 0, -1):  # the least period is set last
@@ -378,8 +385,6 @@ def survey_zero_proportion(n: int, samples: Optional[int] = None,
         lo, hi = hits / total, hits / total
         return SurveyResult(n, "exhaustive", total, hits, hits / total,
                             Fraction(hits, total), lo, hi)
-    if samples is None or samples < 1:
-        raise DomainError("sampled mode needs samples >= 1")
     rng = np.random.Generator(np.random.Philox(seed))
     hits = 0
     done = 0

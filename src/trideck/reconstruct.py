@@ -232,14 +232,7 @@ def reconstruct_from_deck(deck: KDeck) -> ReconstructionReport:
 
     pa = propagate_phases(support, B)
     if not pa.unreached:
-        ghat = np.zeros(n, dtype=np.complex128)
-        for l in support:
-            ghat[l] = mags[l] * pa.xi[l]
-        cand = _inverse_to_function(n, ghat, fhat0)
-        if not _verify_deck(cand, deck):
-            raise InconsistentBispectrumError(
-                "candidate does not reproduce the input deck")
-        canon, shift = canonical_rotation(cand)
+        canon, shift = _candidate(deck, mags, pa.xi)
         return ReconstructionReport((canon,),
                                     Uniqueness("UniqueUpToTranslation"),
                                     shift, pa.trace)
@@ -248,7 +241,7 @@ def reconstruct_from_deck(deck: KDeck) -> ReconstructionReport:
     if len(fact) == 2 and all(a == 1 for a in fact.values()):
         p, q = sorted(fact)
         if all(l % p == 0 or l % q == 0 for l in support):
-            cands = _pq_family(deck, p, q)
+            cands = _pq_family(deck, B, mags, support, p, q)
             if cands is not None:
                 return ReconstructionReport(
                     tuple(cands), Uniqueness("FiniteFamily", len(cands)),
@@ -256,35 +249,51 @@ def reconstruct_from_deck(deck: KDeck) -> ReconstructionReport:
     return ReconstructionReport((), Uniqueness("Indeterminate"), 0, pa.trace)
 
 
-def _pq_family(deck: KDeck, p: int,
-               q: int) -> Optional[list[CyclicFunction]]:
-    """The translation orbit of one representative r, rebuilt from the
-    deck's folds onto Z/pZ and Z/qZ.  A fold is the 3-deck of the folded
-    function on a prime modulus, so it is recovered up to translation; the
-    lifted folds are the p- and q-periodic parts of r, and by the Chinese
-    remainder theorem a translation of each part is one translation of r.
-    None when r is materially negative or does not reproduce the deck."""
-    n = p * q
-    parts = []
-    for period, other in ((p, q), (q, p)):
-        # Python ints: a fold entry sums other^2 entries and can pass int64
-        v = deck.values.astype(object) if deck.exact else deck.values
-        fold = v.reshape(other, period, other, period).sum(axis=(0, 2))
-        rep = reconstruct_from_deck(KDeck(period, 3, fold, deck.denominator))
-        if len(rep.candidates) != 1:
+def _candidate(deck: KDeck, mags: np.ndarray,
+               xi: dict[int, complex]) -> tuple[CyclicFunction, int]:
+    """The function whose spectrum is mags(l) xi(l) on the indices of xi
+    and 0 elsewhere, checked against the deck, as its canonical rotation
+    and shift.  Raises InconsistentBispectrumError when it is not real,
+    is materially negative or does not reproduce the deck."""
+    n = deck.n
+    ghat = np.zeros(n, dtype=np.complex128)
+    for l, x in xi.items():
+        ghat[l] = mags[l] * x
+    cand = _inverse_to_function(n, ghat, float(mags[0]))
+    if not _verify_deck(cand, deck):
+        raise InconsistentBispectrumError(
+            "candidate does not reproduce the input deck")
+    return canonical_rotation(cand)
+
+
+def _pq_family(deck: KDeck, B: Bispectrum, mags: np.ndarray, support,
+               p: int, q: int) -> Optional[list[CyclicFunction]]:
+    """The translation orbit of one representative, its phases marched on
+    each prime subgroup of the support with a gauge of its own.  A nonzero
+    multiple of p plus one of q is a multiple of neither, so no in-support
+    pair across the subgroups sums into the support: each subgroup marches
+    as its fold onto a prime modulus would, and by the Chinese remainder
+    theorem each pair of gauges is one translation of f.  None when a
+    subgroup is not reached in full or _candidate rejects the result."""
+    xi: dict[int, complex] = {}
+    for m in (p, q):
+        pa = propagate_phases({l for l in support if l % m == 0}, B)
+        if pa.unreached:
             return None
-        parts.append(rep.candidates[0].values)
-    a, b = parts
-    total = sum(a)
-    vals = [a[j % p] / q + b[j % q] / p - total / n for j in range(n)]
-    low = min(min(vals), 0)
-    # Round-off can leave r slightly negative where f is 0: raise r by a
-    # constant (clipping would break the split spectrum), within the
-    # tolerance of _inverse_to_function.
-    r = CyclicFunction(n, tuple(v - low for v in vals))
-    if low < -1e-8 * total or not _verify_deck(r, deck):
+        xi.update(pa.xi)
+    try:
+        canon, _ = _candidate(deck, mags, xi)
+    except InconsistentBispectrumError:
         return None
-    return solutions_pq(canonical_rotation(r)[0], p, q)
+    return _translates_pq(canon, p, q)
+
+
+def _translates_pq(f: CyclicFunction, p: int,
+                   q: int) -> list[CyclicFunction]:
+    """The p*q translates of f by s = j*a + l*b, j < p and l < q, in that
+    order: a and b are the CRT idempotents, so s = j mod p, s = l mod q."""
+    a, b = q * pow(q, -1, p), p * pow(p, -1, q)
+    return [translate(f, j * a + l * b) for j in range(p) for l in range(q)]
 
 
 def solutions_pq(f: CyclicFunction, p: int, q: int) -> list[CyclicFunction]:
@@ -308,5 +317,4 @@ def solutions_pq(f: CyclicFunction, p: int, q: int) -> list[CyclicFunction]:
         raise DomainError(
             "spectrum support leaves the two subgroup supports: "
             f"{sorted(pattern.support - allowed)}")
-    a, b = q * pow(q, -1, p), p * pow(p, -1, q)  # CRT idempotents
-    return [translate(f, j * a + l * b) for j in range(p) for l in range(q)]
+    return _translates_pq(f, p, q)

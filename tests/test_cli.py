@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trideck
-from trideck import cli
+from trideck import cli, determinacy
 from trideck.cli import (EXIT_BUDGET, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main)
 
 
@@ -86,6 +86,18 @@ class TestExitCodes:
         monkeypatch.setenv("TRIDECK_BUDGET", "10")
         code, _, err = run(capsys, "sweep", "--n", "7", "--k", "3")
         assert code == EXIT_BUDGET and "budget" in err
+
+    def test_survey_residue_matrix_is_charged(self, capsys, monkeypatch):
+        # 10007 * 10006 entries pass the default budget of 10^8; the
+        # refusal comes before the matrix is built
+        def unbuilt(n):
+            raise AssertionError("the residue matrix was built")
+        monkeypatch.delenv("TRIDECK_BUDGET", raising=False)
+        monkeypatch.setattr(determinacy, "_residue_matrix", unbuilt)
+        code, out, err = run(capsys, "survey", "--n", "10007", "--samples",
+                             "1", "--mode", "sampled")
+        assert code == EXIT_BUDGET and out == ""
+        assert err.startswith("trideck: budget refusal: ")
 
     def test_usage_error(self, capsys):
         assert run(capsys, "frobnicate")[0] == EXIT_USAGE

@@ -293,6 +293,16 @@ class TestSurvey:
         M, _ = determinacy._residue_matrix(2)
         assert M.dtype == dtype and M[:, 0].tolist() == [1, c]
 
+    def test_residue_matrix_is_charged_to_the_budget(self, monkeypatch):
+        # n * (n - 1) entries: 992 at n = 32, 1 332 870 at n = 1155
+        monkeypatch.setenv("TRIDECK_BUDGET", "1000")
+        assert td.survey_zero_proportion(32, 10, mode="sampled").samples == 10
+        built = []
+        monkeypatch.setattr(determinacy, "_residue_matrix", built.append)
+        with pytest.raises(BudgetError):
+            td.survey_zero_proportion(1155, 1, mode="sampled")
+        assert built == []
+
     def test_sampled_deterministic(self):
         a = td.survey_zero_proportion(26, samples=2000, seed=9)
         b = td.survey_zero_proportion(26, samples=2000, seed=9)

@@ -240,6 +240,18 @@ class TestReconstructFromDeck:
         self._check_pq_family(
             _split_function([0, 3, 1, 1, 2], [1, 4, 2, 2, 1, 3, 1]))
 
+    @pytest.mark.parametrize("p, q", [(2, 5), (2, 7), (3, 7), (5, 7),
+                                      (7, 11)])
+    def test_pq_finite_family_seeded(self, p, q):
+        rng = np.random.default_rng(p * q)
+        parts = []
+        for period in (p, q):
+            u = rng.integers(0, 10, period)
+            while u.min() == u.max():
+                u = rng.integers(0, 10, period)
+            parts.append(u.tolist())
+        self._check_pq_family(_split_function(*parts))
+
     @staticmethod
     def _check_pq_family(f):
         """The family is the translation orbit of f, canonical rotation
@@ -280,6 +292,25 @@ class TestReconstructFromDeck:
         assert rep.uniqueness == td.Uniqueness("FiniteFamily", 15)
         assert {_rounded(c) for c in rep.candidates} == \
             {td.translate(f, k) for k in range(15)}
+        assert max(v.denominator for c in rep.candidates
+                   for v in c.values) <= 10**9
+
+    def test_pq_deck_changed_off_the_subgroups_is_indeterminate(self):
+        # (3, 5) and its images pair a multiple of 3 with a multiple of 5,
+        # so the magnitudes and both subgroups' marching are unchanged;
+        # only the deck check sees the change
+        f = _split_function([0, 2, 1], [1, 4, 0, 2, 2])
+        B = td.bispectrum_from_deck(td.three_deck_fft(f)).values.copy()
+        delta = 1e-3 * np.abs(B).max()
+        for l1, l2 in ((3, 5), (-3, -5)):
+            for a, b in itertools.permutations((l1, l2, -l1 - l2), 2):
+                B[a % 15, b % 15] += delta
+        deck = td.KDeck(15, 3, np.real(np.fft.fft2(B)) / 15**2)
+        assert td.reconstruct_from_deck(td.three_deck_fft(f)).uniqueness \
+            == td.Uniqueness("FiniteFamily", 15)
+        rep = td.reconstruct_from_deck(deck)
+        assert rep.uniqueness == td.Uniqueness("Indeterminate")
+        assert rep.candidates == ()
 
     def test_pq_float_deck_with_zeros_and_large_denominators(self):
         # the lifted folds carry round-off of either sign where f is 0
