@@ -313,7 +313,8 @@ class TestReconstructFromDeck:
         assert rep.candidates == ()
 
     def test_pq_float_deck_with_zeros_and_large_denominators(self):
-        # the lifted folds carry round-off of either sign where f is 0
+        # the inverse transform carries round-off of either sign where f
+        # is 0
         f = _split_function(
             [Fraction(v, 10**11) for v in (0, 36670303151, 38389463117)],
             [Fraction(v, 10**11) for v in (87359795345, 0, 38534708846,
