@@ -175,6 +175,8 @@ class KDeck:
             raise ShapeMismatchError(
                 f"deck shape {self.values.shape} != {expected}")
         if self.denominator is None:
+            if not np.isfinite(self.values).all():
+                raise DomainError("deck values must be finite numbers")
             return
         if self.denominator < 1:
             raise DomainError("deck denominator must be positive")
@@ -285,15 +287,14 @@ class KDeck:
             raise DomainError(
                 f"a deck with n={n}, k={k} needs a list of {n ** (k - 1)} "
                 "values")
-        if not all(isinstance(v, (int, str))
-                   or isinstance(v, float) and math.isfinite(v)
-                   for v in raw):
+        kinds = set(map(type, raw))
+        if not all(issubclass(t, (int, str, float)) for t in kinds):
             raise DomainError(
                 "deck values must be finite numbers or rational strings")
         shape = (n,) * (k - 1)
         try:
-            if any(isinstance(v, str) for v in raw) or all(
-                    isinstance(v, int) for v in raw):
+            if any(issubclass(t, str) for t in kinds) or all(
+                    issubclass(t, int) for t in kinds):
                 fr = [_as_fraction(v) for v in raw]
                 den = math.lcm(*(x.denominator for x in fr))
                 ints = [x.numerator * (den // x.denominator) for x in fr]

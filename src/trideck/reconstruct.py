@@ -131,6 +131,12 @@ def propagate_phases(support, B: Bispectrum) -> PhaseAssignment:
         s = nonzero[0]
         xi[s], mu[s], known[s] = 1.0, 1, True
 
+    # For target l, the partners l2 = (l - l1) % n of l1 = 0..n-1 are the
+    # window back[n-1-l : 2n-1-l] of the doubled, reversed index array, and
+    # known[l2] is the same window of back_known, kept in step with known.
+    back = np.arange(2 * n - 1, -1, -1) % n
+    back_known = known[back]
+
     # Targets in increasing order; a further pass picks up the targets that
     # only wrap-around pairs, or pairs reached later, can reach.
     trace: list[dict] = []
@@ -140,32 +146,49 @@ def propagate_phases(support, B: Bispectrum) -> PhaseAssignment:
         for l in targets:
             if known[l]:
                 continue
-            l2 = (l - idx) % n
-            l1 = np.flatnonzero(known & known[l2] & (idx <= l2))
+            lo = n - 1 - l
+            l2 = back[lo:lo + n]
+            l1 = (known & back_known[lo:lo + n] & (idx <= l2)).nonzero()[0]
             if not len(l1):
                 continue
             l2 = l2[l1]
             w = mu[l1] + mu[l2]
             same = w == w[0]  # sum only pairs of the first pair's weight
             a, b = l1[same], l2[same]
-            xi[l] = _unit(np.sum(xi[a] * xi[b] * Bc[a, b]))
+            xi[l] = _unit((xi[a] * xi[b] * Bc[a, b]).sum())
             mu[l], known[l] = w[0], True
+            back_known[lo] = back_known[lo + n] = True
             trace.append({"target": l, "via": [int(l1[0]), int(l2[0])]})
             changed = True
 
     # Every reached pair with a reached sum: z = |B| exp(-i t d) at the
-    # true gauge t, so t maximizes sum_d Re(exp(i t d) S_d).
-    r = np.flatnonzero(known)
-    l3 = (r[:, None] + r[None, :]) % n
+    # true gauge t, so t maximizes sum_d Re(exp(i t d) S_d).  The pairs are
+    # the r x r block of reached indices masked to reached sums, taken in
+    # row-major order, and each S_d sums its pairs in that order.
+    r = known.nonzero()[0]
+    l3 = r[:, None] + r
+    l3[l3 >= n] -= n
     m = known[l3]
-    l1, l2, l3 = (np.broadcast_to(r[:, None], m.shape)[m],
-                  np.broadcast_to(r[None, :], m.shape)[m], l3[m])
-    Bm = Bc[l1, l2]
-    d = mu[l1] + mu[l2] - mu[l3]
-    z = xi[l1] * xi[l2] * np.conj(xi[l3]) * Bm
-    ds, inv = np.unique(d, return_inverse=True)
-    S = (np.bincount(inv, z.real, len(ds))
-         + 1j * np.bincount(inv, z.imag, len(ds)))
+    Br = Bc[r][:, r]
+
+    def cycles(xi):
+        """xi(l1) xi(l2) conj(xi(l1 + l2)) conj(B(l1, l2)) on the block."""
+        xr = xi[r]
+        z = xr[:, None] * xr
+        z *= np.conj(xi)[l3]
+        z *= Br
+        return z
+
+    z = cycles(xi)
+    d = mu[r][:, None] + mu[r]
+    d -= mu[l3]
+    z, d = z[m], d[m]
+    low = d.min(initial=0)  # bin d - low, so that every d has a bin
+    d -= low
+    count = np.bincount(d)
+    S = (np.bincount(d, z.real, len(count))
+         + 1j * np.bincount(d, z.imag, len(count)))
+    ds, S = count.nonzero()[0] + low, S[count > 0]
     ds, S = ds[ds != 0], S[ds != 0]
     t = 0.0
     if len(ds):
@@ -180,13 +203,15 @@ def propagate_phases(support, B: Bispectrum) -> PhaseAssignment:
     sym = known & known[neg]
     xi[sym] = _unit(xi[sym] + np.conj(xi[neg[sym]]))
 
-    resid = np.abs(xi[l1] * xi[l2] * np.conj(xi[l3]) * Bm - np.abs(Bm))
+    z = cycles(xi)
+    z -= np.abs(Br)
+    resid = np.abs(z[m])
     # written so that a NaN residual fails too
     if not resid.max(initial=0.0) <= RESIDUAL_REL_TOL * np.abs(Bc).max():
         raise InconsistentBispectrumError(
             "phase propagation found contradictory cycles; the input is "
             "not a genuine bispectrum of a real nonnegative function")
-    return PhaseAssignment(n, {int(l): complex(xi[l]) for l in r},
+    return PhaseAssignment(n, dict(zip(r.tolist(), xi[r].tolist())),
                            tuple(trace), frozenset(targets) - set(r.tolist()))
 
 
@@ -241,7 +266,7 @@ def reconstruct_from_deck(deck: KDeck) -> ReconstructionReport:
     if len(fact) == 2 and all(a == 1 for a in fact.values()):
         p, q = sorted(fact)
         if all(l % p == 0 or l % q == 0 for l in support):
-            cands = _pq_family(deck, B, mags, support, p, q)
+            cands = _pq_family(deck, B, mags, support, p, q, pa)
             if cands is not None:
                 return ReconstructionReport(
                     tuple(cands), Uniqueness("FiniteFamily", len(cands)),
@@ -267,18 +292,26 @@ def _candidate(deck: KDeck, mags: np.ndarray,
 
 
 def _pq_family(deck: KDeck, B: Bispectrum, mags: np.ndarray, support,
-               p: int, q: int) -> Optional[list[CyclicFunction]]:
+               p: int, q: int,
+               marched: PhaseAssignment) -> Optional[list[CyclicFunction]]:
     """The translation orbit of one representative, its phases marched on
     each prime subgroup of the support with a gauge of its own.  A nonzero
     multiple of p plus one of q is a multiple of neither, so no in-support
     pair across the subgroups sums into the support: each subgroup marches
     as its fold onto a prime modulus would, and by the Chinese remainder
     theorem each pair of gauges is one translation of f.  None when a
-    subgroup is not reached in full or _candidate rejects the result."""
+    subgroup is not reached in full or _candidate rejects the result.
+
+    `marched` is propagate_phases over the whole support.  It reaches no
+    index outside the subgroup that holds its seed s, and on that subgroup
+    it makes the same steps, in the same order, as marching the subgroup
+    alone, so it stands in for that march."""
+    s = min(l for l in support if l)
     xi: dict[int, complex] = {}
     for m in (p, q):
-        pa = propagate_phases({l for l in support if l % m == 0}, B)
-        if pa.unreached:
+        sub = {l for l in support if l % m == 0}
+        pa = marched if s % m == 0 else propagate_phases(sub, B)
+        if pa.unreached & sub:
             return None
         xi.update(pa.xi)
     try:

@@ -343,6 +343,7 @@ class TestKDeck:
         {"n": 2, "k": 3, "values": [1.0, float("nan"), 3.0, 4.0]},
         {"n": 2, "k": 3, "values": [1.0, float("inf"), 3.0, 4.0]},
         {"n": 2, "k": 3, "values": ["1/2", "1/0", 3, 4]},
+        {"n": 2, "k": 3, "values": ["1/2", float("inf"), 3, 4]},
         {"n": 2, "k": 3, "values": [1, None, 3, 4]},
     ])
     def test_json_loader_rejects_malformed(self, d):

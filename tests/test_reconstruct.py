@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 import trideck as td
 from trideck.cli import EXIT_DOMAIN, main
 from trideck.cyclic import Bispectrum
-from trideck.cyclotomic import function_poly, zero_pattern_of_poly
+from trideck.cyclotomic import _factorize, function_poly, zero_pattern_of_poly
 from trideck.errors import DomainError, InconsistentBispectrumError
+from trideck import reconstruct
+from trideck.reconstruct import (PhaseAssignment, _candidate, _translates_pq,
+                                 _unit)
 
 
 def _rounded(f):
@@ -28,6 +31,22 @@ def _split_function(u, v):
     p, q = len(u), len(v)
     return td.CyclicFunction(p * q, tuple(Fraction(u[j % p]) + v[j % q]
                                           for j in range(p * q)))
+
+
+SEEDED_PQ = [(2, 5), (2, 7), (3, 7), (5, 7), (7, 11)]
+
+
+def _seeded_split_function(p, q):
+    """A split function on Z/pqZ with nonconstant parts drawn from seed
+    p*q."""
+    rng = np.random.default_rng(p * q)
+    parts = []
+    for period in (p, q):
+        u = rng.integers(0, 10, period)
+        while u.min() == u.max():
+            u = rng.integers(0, 10, period)
+        parts.append(u.tolist())
+    return _split_function(*parts)
 
 
 def _averaging_family(f, p, q):
@@ -100,6 +119,159 @@ def _noisy_deck(level):
                                          (b - a, -a), (-b, a - b),
                                          (a - b, -b)]) / 6
     return f, td.KDeck(n, 3, N + level * np.max(np.abs(N)) * E)
+
+
+def _reference_propagate_phases(support, B):
+    """propagate_phases in its per-target indexing form, kept as the bit
+    for bit reference: each target builds its partner row with (l - idx) %
+    n, masks it and sums with np.sum, and the gauge stage bins masked index
+    copies with np.unique.  The library version must give the same floats,
+    trace, unreached set and errors."""
+    n = B.n
+    if hasattr(support, "support"):
+        support = support.support
+    targets = sorted(set(int(l) % n for l in support))
+    Bc = np.conj(B.values)
+    idx = np.arange(n)
+    xi = np.zeros(n, dtype=np.complex128)
+    mu = np.zeros(n, dtype=np.int64)
+    known = np.zeros(n, dtype=bool)
+    if 0 in targets:
+        xi[0], known[0] = 1.0, True
+    nonzero = [l for l in targets if l]
+    if nonzero:
+        s = nonzero[0]
+        xi[s], mu[s], known[s] = 1.0, 1, True
+    trace = []
+    changed = True
+    while changed:
+        changed = False
+        for l in targets:
+            if known[l]:
+                continue
+            l2 = (l - idx) % n
+            l1 = np.flatnonzero(known & known[l2] & (idx <= l2))
+            if not len(l1):
+                continue
+            l2 = l2[l1]
+            w = mu[l1] + mu[l2]
+            same = w == w[0]
+            a, b = l1[same], l2[same]
+            xi[l] = _unit(np.sum(xi[a] * xi[b] * Bc[a, b]))
+            mu[l], known[l] = w[0], True
+            trace.append({"target": l, "via": [int(l1[0]), int(l2[0])]})
+            changed = True
+    r = np.flatnonzero(known)
+    l3 = (r[:, None] + r[None, :]) % n
+    m = known[l3]
+    l1, l2, l3 = (np.broadcast_to(r[:, None], m.shape)[m],
+                  np.broadcast_to(r[None, :], m.shape)[m], l3[m])
+    Bm = Bc[l1, l2]
+    d = mu[l1] + mu[l2] - mu[l3]
+    z = xi[l1] * xi[l2] * np.conj(xi[l3]) * Bm
+    ds, inv = np.unique(d, return_inverse=True)
+    S = (np.bincount(inv, z.real, len(ds))
+         + 1j * np.bincount(inv, z.imag, len(ds)))
+    ds, S = ds[ds != 0], S[ds != 0]
+    t = 0.0
+    if len(ds):
+        d0 = min(ds, key=lambda v: (abs(v), v))
+        cands = ((2 * np.pi * np.arange(abs(d0)) - np.angle(S[ds == d0][0]))
+                 / d0) % (2 * np.pi)
+        score = (np.exp(1j * np.outer(cands, ds)) @ S).real
+        t = float(cands[np.argmax(score)] % (2 * np.pi / np.gcd.reduce(ds)))
+    xi = xi * np.exp(1j * t * mu)
+    neg = (-idx) % n
+    sym = known & known[neg]
+    xi[sym] = _unit(xi[sym] + np.conj(xi[neg[sym]]))
+    resid = np.abs(xi[l1] * xi[l2] * np.conj(xi[l3]) * Bm - np.abs(Bm))
+    if not resid.max(initial=0.0) <= 1e-6 * np.abs(Bc).max():
+        raise InconsistentBispectrumError(
+            "phase propagation found contradictory cycles; the input is "
+            "not a genuine bispectrum of a real nonnegative function")
+    return PhaseAssignment(n, {int(l): complex(xi[l]) for l in r},
+                           tuple(trace), frozenset(targets) - set(r.tolist()))
+
+
+def _reference_pq_family(deck, B, mags, support, p, q):
+    """The pq family with each prime subgroup marched on its own by the
+    reference marching."""
+    xi = {}
+    for m in (p, q):
+        pa = _reference_propagate_phases(
+            {l for l in support if l % m == 0}, B)
+        if pa.unreached:
+            return None
+        xi.update(pa.xi)
+    try:
+        canon, _ = _candidate(deck, mags, xi)
+    except InconsistentBispectrumError:
+        return None
+    return _translates_pq(canon, p, q)
+
+
+def _bit_outcome(propagate, support, B):
+    """Everything propagate_phases returns or raises, floats as hex."""
+    try:
+        with np.errstate(all="ignore"):
+            pa = propagate(support, B)
+    except InconsistentBispectrumError as e:
+        return type(e), str(e)
+    return ({l: (x.real.hex(), x.imag.hex()) for l, x in pa.xi.items()},
+            pa.trace, pa.unreached)
+
+
+def _marching_corpus(n):
+    """(support, B) pairs at modulus n: values 1..7, 0/1 and sparse values
+    up to 1000, each from the exact and the transform deck, with 1e-9
+    symmetrised noise and with one corrupted entry; the support is the
+    magnitudes' support and, for n = pq, each prime subgroup of it.  Then
+    random spectra on sparse negation-closed supports, which reach targets
+    in later passes and through pairs of more than one weight when they
+    leave out the least indices, and a
+    bispectrum with a NaN and one with an infinite entry."""
+    rng = np.random.default_rng(n)
+    fact = _factorize(n)
+    primes = sorted(fact) if len(fact) == 2 and set(fact.values()) == {1} \
+        else []
+    sparse = np.zeros(n, dtype=np.int64)
+    picks = rng.choice(n, max(2, n // 6), replace=False)
+    sparse[picks] = rng.integers(1, 1001, len(picks))
+    funcs = [rng.integers(1, 8, n), rng.integers(0, 2, n), sparse]
+    if primes:
+        p, q = primes
+        funcs.append(np.array([j % p + 2 * (j % q == 1) for j in range(n)]))
+    for v in funcs:
+        f = td.CyclicFunction.of([int(x) for x in v])
+        N = td.k_deck(f, 3).as_floats()
+        a, b = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        E = rng.standard_normal(N.shape)
+        E = sum(E[x % n, y % n] for x, y in [(a, b), (b, a), (-a, b - a),
+                                             (b - a, -a), (-b, a - b),
+                                             (a - b, -b)]) / 6
+        noisy = td.KDeck(n, 3, N + 1e-9 * np.max(np.abs(N)) * E)
+        for deck in (td.k_deck(f, 3), td.three_deck_fft(f), noisy):
+            B = td.bispectrum_from_deck(deck)
+            mags = td.magnitudes_from_bispectrum(B)
+            support = {l for l in range(n) if mags[l] > 1e-8 * mags[0]}
+            yield support, B
+            for m in primes:
+                yield {l for l in support if l % m == 0}, B
+            bad = B.values.copy()
+            i, j = rng.integers(0, n, 2)
+            bad[i, j] *= np.exp(0.3j)
+            yield support, Bispectrum(n, bad)
+    for low in (1, 2, 2, 3, 3):
+        support = {0}
+        for l in range(low, n // 2 + 1):
+            if rng.random() < 0.7:
+                support |= {l, n - l}
+        yield support, _bispectrum_on(n, support, rng)
+    B = td.bispectrum_from_deck(td.three_deck_fft(f)).values.copy()
+    for x in (np.nan, np.inf):
+        bad = B.copy()
+        bad[1, 2] = x
+        yield set(range(n)), Bispectrum(n, bad)
 
 
 class TestMagnitudes:
@@ -208,6 +380,17 @@ class TestPropagation:
                     xi[l1] * xi[l2], abs=1e-6)
 
 
+    @pytest.mark.parametrize("n", [12, 15, 30, 32, 35, 60, 64, 77, 96,
+                                   128])
+    def test_bit_identical_to_the_reference(self, n):
+        outcomes = set()
+        for support, B in _marching_corpus(n):
+            want = _bit_outcome(_reference_propagate_phases, support, B)
+            assert _bit_outcome(td.propagate_phases, support, B) == want
+            outcomes.add(type(want[0]))
+        assert outcomes == {dict, type}  # both results and errors compared
+
+
 class TestReconstructFromDeck:
     def test_spec_example(self):
         f = td.CyclicFunction.of([2, 1, 0])
@@ -240,17 +423,28 @@ class TestReconstructFromDeck:
         self._check_pq_family(
             _split_function([0, 3, 1, 1, 2], [1, 4, 2, 2, 1, 3, 1]))
 
-    @pytest.mark.parametrize("p, q", [(2, 5), (2, 7), (3, 7), (5, 7),
-                                      (7, 11)])
+    @pytest.mark.parametrize("p, q", SEEDED_PQ)
     def test_pq_finite_family_seeded(self, p, q):
-        rng = np.random.default_rng(p * q)
-        parts = []
-        for period in (p, q):
-            u = rng.integers(0, 10, period)
-            while u.min() == u.max():
-                u = rng.integers(0, 10, period)
-            parts.append(u.tolist())
-        self._check_pq_family(_split_function(*parts))
+        self._check_pq_family(_seeded_split_function(p, q))
+
+    @pytest.mark.parametrize("p, q", SEEDED_PQ)
+    def test_pq_family_marches_each_subgroup_once(self, p, q, monkeypatch):
+        # the march over the whole support stands in for the subgroup
+        # that holds its seed; the family is the reference's bit for bit
+        f = _seeded_split_function(p, q)
+        march = reconstruct.propagate_phases
+        calls = []
+        monkeypatch.setattr(reconstruct, "propagate_phases",
+                            lambda *args: calls.append(args) or march(*args))
+        for deck in (td.k_deck(f, 3), td.three_deck_fft(f)):
+            calls.clear()
+            rep = td.reconstruct_from_deck(deck)
+            assert len(calls) == 2
+            B = td.bispectrum_from_deck(deck)
+            mags = td.magnitudes_from_bispectrum(B)
+            support = {l for l in range(f.n) if mags[l] > 1e-8 * mags[0]}
+            assert rep.candidates == tuple(
+                _reference_pq_family(deck, B, mags, support, p, q))
 
     @staticmethod
     def _check_pq_family(f):
@@ -351,6 +545,15 @@ class TestReconstructFromDeck:
         rep = td.reconstruct_from_deck(td.k_deck(f, 3))
         cand = _rounded(rep.candidates[0])
         assert cand == td.canonical_rotation(cand)[0]  # canonical output
+
+    @pytest.mark.parametrize("pos, x", [((0, 0), np.inf), ((1, 2), np.nan)])
+    def test_non_finite_float_deck_rejected(self, pos, x):
+        # inf gave the zero function and NaN "contradictory cycles"
+        f = td.CyclicFunction.of(list(range(1, 8)))
+        v = td.three_deck_fft(f).values.copy()
+        v[pos] = x
+        with pytest.raises(DomainError, match="finite"):
+            td.reconstruct_from_deck(td.KDeck(7, 3, v))
 
     def test_requires_three_deck(self):
         with pytest.raises(DomainError):
