@@ -183,7 +183,8 @@ def propagate_phases(support, B: Bispectrum) -> PhaseAssignment:
     d = mu[r][:, None] + mu[r]
     d -= mu[l3]
     z, d = z[m], d[m]
-    low = d.min(initial=0)  # bin d - low, so that every d has a bin
+    # bin d - low: the weights span a few multiples of n, so bins are few
+    low = d.min(initial=0)
     d -= low
     count = np.bincount(d)
     S = (np.bincount(d, z.real, len(count))
