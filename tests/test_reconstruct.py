@@ -13,8 +13,7 @@ from trideck.cyclic import Bispectrum
 from trideck.cyclotomic import _factorize, function_poly, zero_pattern_of_poly
 from trideck.errors import DomainError, InconsistentBispectrumError
 from trideck import reconstruct
-from trideck.reconstruct import (PhaseAssignment, _candidate, _translates_pq,
-                                 _unit)
+from trideck.reconstruct import PhaseAssignment, _candidate, _translates_pq
 
 
 def _rounded(f):
@@ -121,6 +120,13 @@ def _noisy_deck(level):
     return f, td.KDeck(n, 3, N + level * np.max(np.abs(N)) * E)
 
 
+def _reference_unit(z):
+    """z / |z| as an array division, which a numpy-scalar z / abs(z) does
+    not match in the last bit."""
+    r = np.abs(z)
+    return z / np.where(r > 0, r, 1.0)
+
+
 def _reference_propagate_phases(support, B):
     """propagate_phases in its per-target indexing form, kept as the bit
     for bit reference: each target builds its partner row with (l - idx) %
@@ -157,7 +163,7 @@ def _reference_propagate_phases(support, B):
             w = mu[l1] + mu[l2]
             same = w == w[0]
             a, b = l1[same], l2[same]
-            xi[l] = _unit(np.sum(xi[a] * xi[b] * Bc[a, b]))
+            xi[l] = _reference_unit(np.sum(xi[a] * xi[b] * Bc[a, b]))
             mu[l], known[l] = w[0], True
             trace.append({"target": l, "via": [int(l1[0]), int(l2[0])]})
             changed = True
@@ -183,7 +189,7 @@ def _reference_propagate_phases(support, B):
     xi = xi * np.exp(1j * t * mu)
     neg = (-idx) % n
     sym = known & known[neg]
-    xi[sym] = _unit(xi[sym] + np.conj(xi[neg[sym]]))
+    xi[sym] = _reference_unit(xi[sym] + np.conj(xi[neg[sym]]))
     resid = np.abs(xi[l1] * xi[l2] * np.conj(xi[l3]) * Bm - np.abs(Bm))
     if not resid.max(initial=0.0) <= 1e-6 * np.abs(Bc).max():
         raise InconsistentBispectrumError(
