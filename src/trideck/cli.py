@@ -18,6 +18,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 
@@ -445,13 +446,22 @@ def _words(args) -> list:
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 
+# the JSON text of a str, int, bool or None, looked up by exact type (so
+# that a subclass, say a numpy float, goes through the encoder)
+_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__,
+                bool: {True: "true", False: "false"}.__getitem__,
+                type(None): lambda _: "null"}
+
 
 @functools.cache
-def _encoder(depth: int) -> json.JSONEncoder:
-    """A C-backed encoder (no indent) whose item separator starts a line
-    at the indent of `depth`."""
-    return json.JSONEncoder(sort_keys=True,
-                            separators=(",\n" + "  " * depth, ": "))
+def _encoder(depth: int):
+    """json's C encoder (no indent, keys sorted) whose item separator starts
+    a line at the indent of `depth`; called as _encoder(depth)(obj, 0), it
+    returns the text of obj in chunks.  It keeps no circular-reference
+    markers, so it is for scalars and containers of scalars alone."""
+    return c_make_encoder(None, json.JSONEncoder().default,
+                          encode_basestring_ascii, None, ": ",
+                          ",\n" + "  " * depth, True, False, True)
 
 
 def _dumps(obj, depth: int = 0) -> str:
@@ -460,30 +470,33 @@ def _dumps(obj, depth: int = 0) -> str:
     json.dumps runs its pure-Python encoder whenever indent is set.  Here a
     list or dict of str, int, float, bool and None alone is encoded in one
     call to the C encoder, whose item separator already holds the newline
-    and indent; only the containers above those are walked in Python."""
+    and indent; only the containers above those are walked in Python, and
+    a str, int, bool or None in them is written from a table."""
+    text = _SCALAR_TEXT.get(type(obj))
+    if text is not None:
+        return text(obj)
     if not isinstance(obj, (list, tuple, dict)) or not obj:
-        return _encoder(depth).encode(obj)
-    enc = _encoder(depth + 1)
+        return "".join(_encoder(depth)(obj, 0))
+    sep = ",\n" + "  " * (depth + 1)
     is_dict = isinstance(obj, dict)
     if _SCALARS.issuperset(map(type, obj.values() if is_dict else obj)):
-        body = enc.encode(obj)[1:-1]
+        body = "".join(_encoder(depth + 1)(obj, 0))[1:-1]
     elif is_dict:
-        body = enc.item_separator.join(
-            enc.encode(_key(k)) + ": " + _dumps(v, depth + 1)
-            for k, v in sorted(obj.items()))
+        body = sep.join([_key(k) + ": " + _dumps(v, depth + 1)
+                         for k, v in sorted(obj.items())])
     else:
-        body = enc.item_separator.join(_dumps(v, depth + 1) for v in obj)
+        body = sep.join([_dumps(v, depth + 1) for v in obj])
     open_, close = "{}" if is_dict else "[]"
-    return f"{open_}{enc.item_separator[1:]}{body}\n{'  ' * depth}{close}"
+    return f"{open_}{sep[1:]}{body}\n{'  ' * depth}{close}"
 
 
 def _key(key) -> str:
-    """A dict key as json writes it: a str as it is, and an int, float,
-    bool or None as its JSON text."""
+    """A dict key as json writes it: the JSON string of a str, or of the
+    JSON text of an int, float, bool or None."""
     if isinstance(key, str):
-        return key
+        return encode_basestring_ascii(key)
     if key is None or isinstance(key, (int, float)):
-        return _encoder(0).encode(key)
+        return encode_basestring_ascii("".join(_encoder(0)(key, 0)))
     raise TypeError(f"keys must be str, int, float, bool or None, "
                     f"not {type(key).__name__}")
 

@@ -126,19 +126,33 @@ def gap_profile(E: IntervalSet) -> GapProfile:
 
 
 def partial_x_deck(E: IntervalSet, x, y) -> int:
-    """Boundary formula for d/dx N_E(x,y) in the regime -Gamma_E < x < 0:
-    counts intervals longer than |x| whose shifted left endpoint a_k - x + y
-    lies in E."""
+    """d/dx N_E(x,y) in the regime -Gamma_E < x < 0, by the boundary
+    formula: the number of intervals [a_k, b_k] of E with a_k - x and
+    a_k - x + y both in E.
+
+    At a breakpoint a point may sit on an endpoint, so both one-sided
+    derivatives are counted: the right one with membership in the
+    half-open intervals (a, b], the left one with [a, b).  Their common
+    value is returned, and a DomainError names both when they differ."""
     x, y = _as_fraction(x), _as_fraction(y)
     prof = gap_profile(E)
     if not (x < 0 and (prof.min_gap is None or -x < prof.min_gap)):
         raise DomainError(
             f"x={x} outside the valid regime -Gamma_E < x < 0")
-    total = 0
-    for a, b in E.intervals:
-        if b - a > -x and E.contains(a - x + y):
-            total += 1
-    return total
+
+    def derivative(closed_right: bool) -> int:
+        def member(t) -> bool:
+            return any(lo < t <= hi if closed_right else lo <= t < hi
+                       for lo, hi in E.intervals)
+        return sum(member(a - x) and member(a - x + y)
+                   for a, _ in E.intervals)
+
+    right, left = derivative(True), derivative(False)
+    if right != left:
+        raise DomainError(
+            f"N_E is not differentiable in x at x={x}, y={y}: the left "
+            f"derivative is {left} and the right derivative is {right}")
+    return right
 
 
 def translate_equal_sets(E: IntervalSet, F: IntervalSet,

@@ -19,6 +19,7 @@ import dataclasses
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .cyclic import (Bispectrum, CyclicFunction, KDeck, bispectrum_from_deck,
                      canonical_rotation, three_deck_fft, translate)
@@ -83,7 +84,8 @@ def magnitudes_from_bispectrum(B: Bispectrum) -> np.ndarray:
         raise InconsistentBispectrumError(
             f"B(0,0) = {b00} is not real nonnegative")
     fhat0 = max(b00.real, 0.0) ** (1 / 3)
-    diag = np.array([B[l, -l] for l in range(n)])
+    l = np.arange(n)
+    diag = B.values[l, -l % n]
     if fhat0**3 <= tol * scale:
         if np.max(np.abs(diag)) > tol * scale:
             raise InconsistentBispectrumError(
@@ -104,6 +106,79 @@ def _unit(z):
     return z / np.where(r > 0, r, 1.0)
 
 
+def _marching_schedule(n: int, targets: list[int]):
+    """The frequency marching of propagate_phases without its floats, which
+    depends on n and the targets alone: the order in which targets are
+    reached and the pairs each one sums.
+
+    The gauge seeds are 0 (when a target) with weight mu(0) = 0 and the
+    least nonzero target s with mu(s) = 1.  Targets are taken in increasing
+    order, and a further pass picks up those that only wrap-around pairs,
+    or pairs reached later, can reach.  Target l is reached through the
+    pairs l1 <= l2 = (l - l1) % n of reached indices, takes the weight
+    mu(l1) + mu(l2) of the first of them, and sums the pairs of that
+    weight, in increasing l1.
+
+    The reached indices are the bits of `known`, and `back` has bit j set
+    when (2n - 1 - j) % n is reached, so that bit l1 of back >> (n - 1 - l)
+    says whether l - l1 is.  Returns the targets in the order reached, the
+    first pairs (the trace), the pairs (l1, l2) to sum, target after
+    target, with the end of each target's run, and mu and known as arrays.
+    """
+    mu = [0] * n
+    known = back = 0
+    seeds = [(0, 0)] if targets[:1] == [0] else []
+    if len(targets) > len(seeds):
+        seeds.append((targets[len(seeds)], 1))
+    for l, w in seeds:
+        mu[l] = w
+        known |= 1 << l
+        back |= (1 << (n - 1 - l)) | (1 << (2 * n - 1 - l))
+    order, via, masks = [], [], []
+    changed = True
+    while changed:
+        changed = False
+        for l in targets:
+            if known >> l & 1:
+                continue
+            lo = n - 1 - l
+            # l1 <= (l - l1) % n: l1 <= l // 2, or l < l1 <= (n + l) // 2
+            le = ((1 << (l // 2 + 1)) - 1
+                  | (1 << ((n + l) // 2 + 1)) - (1 << (l + 1)))
+            pairs = known & (back >> lo) & le
+            if not pairs:
+                continue
+            a = (pairs & -pairs).bit_length() - 1
+            b = (l - a) % n
+            mu[l] = mu[a] + mu[b]
+            known |= 1 << l
+            back |= (1 << lo) | (1 << (lo + n))
+            order.append(l)
+            via.append([a, b])
+            masks.append(pairs)
+            changed = True
+    # each mask unpacked to 2**shift >= n bits, so that bit i of the row
+    # of masks is the pair of step i >> shift with l1 = i & (2**shift - 1)
+    shift = max(n - 1, 4).bit_length()
+    width = 1 << (shift - 3)
+    mu = np.array(mu, dtype=np.int64)
+    known = np.unpackbits(np.frombuffer(known.to_bytes(width, "little"),
+                                        np.uint8),
+                          count=n, bitorder="little").astype(bool)
+    bits = np.unpackbits(
+        np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks),
+                      np.uint8), bitorder="little")
+    i = bits.nonzero()[0]
+    step, l1 = i >> shift, i & ((1 << shift) - 1)
+    ls = np.array(order, dtype=np.int64)
+    l2 = ls[step] - l1
+    l2[l2 < 0] += n
+    same = mu[l1] + mu[l2] == mu[ls][step]
+    l1, l2 = l1[same], l2[same]
+    ends = np.bincount(step[same], minlength=len(order)).cumsum()
+    return order, via, l1, l2, ends.tolist(), mu, known
+
+
 def propagate_phases(support, B: Bispectrum) -> PhaseAssignment:
     """Frequency marching from the gauge seeds {0, s} (s the smallest
     nonzero support index), then the remaining one-parameter gauge by
@@ -119,70 +194,54 @@ def propagate_phases(support, B: Bispectrum) -> PhaseAssignment:
     if hasattr(support, "support"):  # a ZeroPattern
         support = support.support
     targets = sorted(set(int(l) % n for l in support))
+    order, via, l1, l2, ends, mu, known = _marching_schedule(n, targets)
     Bc = np.conj(B.values)
-    idx = np.arange(n)
     xi = np.zeros(n, dtype=np.complex128)
-    mu = np.zeros(n, dtype=np.int64)
-    known = np.zeros(n, dtype=bool)
-    if 0 in targets:
-        xi[0], known[0] = 1.0, True
-    nonzero = [l for l in targets if l]
-    if nonzero:
-        s = nonzero[0]
-        xi[s], mu[s], known[s] = 1.0, 1, True
-
-    # For target l, the partners l2 = (l - l1) % n of l1 = 0..n-1 are the
-    # window back[n-1-l : 2n-1-l] of the doubled, reversed index array, and
-    # known[l2] is the same window of back_known, kept in step with known.
-    back = np.arange(2 * n - 1, -1, -1) % n
-    back_known = known[back]
-
-    # Targets in increasing order; a further pass picks up the targets that
-    # only wrap-around pairs, or pairs reached later, can reach.
-    trace: list[dict] = []
-    changed = True
-    while changed:
-        changed = False
-        for l in targets:
-            if known[l]:
-                continue
-            lo = n - 1 - l
-            l2 = back[lo:lo + n]
-            l1 = (known & back_known[lo:lo + n] & (idx <= l2)).nonzero()[0]
-            if not len(l1):
-                continue
-            l2 = l2[l1]
-            w = mu[l1] + mu[l2]
-            same = w == w[0]  # sum only pairs of the first pair's weight
-            a, b = l1[same], l2[same]
-            xi[l] = _unit((xi[a] * xi[b] * Bc[a, b]).sum())
-            mu[l], known[l] = w[0], True
-            back_known[lo] = back_known[lo + n] = True
-            trace.append({"target": l, "via": [int(l1[0]), int(l2[0])]})
-            changed = True
+    xi[known] = 1.0  # the seeds; every other reached phase is set below
+    Bab = Bc[l1, l2]
+    start = 0
+    for l, end in zip(order, ends):
+        a, b = l1[start:end], l2[start:end]
+        xi[l] = _unit((xi[a] * xi[b] * Bab[start:end]).sum())
+        start = end
+    trace = tuple({"target": l, "via": v} for l, v in zip(order, via))
 
     # Every reached pair with a reached sum: z = |B| exp(-i t d) at the
     # true gauge t, so t maximizes sum_d Re(exp(i t d) S_d).  The pairs are
     # the r x r block of reached indices masked to reached sums, taken in
-    # row-major order, and each S_d sums its pairs in that order.
+    # row-major order, and each S_d sums its pairs in that order.  A value
+    # at the sums l1 + l2 is read from a window of the doubled array.
     r = known.nonzero()[0]
-    l3 = r[:, None] + r
-    l3[l3 >= n] -= n
-    m = known[l3]
-    Br = Bc[r][:, r]
+    full = len(r) == n
+
+    def block(w):
+        """Rows and columns r of the n x n array w."""
+        return w if full else w.take(r, 0).take(r, 1)
+
+    def at_sums(v):
+        """The block of v((l1 + l2) % n): row l1 of the window is v doubled
+        from l1 on."""
+        v2 = np.concatenate((v, v))
+        return block(as_strided(v2, (n, n), v2.strides * 2, writeable=False))
+
+    m = at_sums(known)
+    every = full or m.all()  # then the block needs no mask
+    Br = block(Bc)
+    out = np.empty(Br.shape, dtype=np.complex128)
 
     def cycles(xi):
-        """xi(l1) xi(l2) conj(xi(l1 + l2)) conj(B(l1, l2)) on the block."""
+        """xi(l1) xi(l2) conj(xi(l1 + l2)) conj(B(l1, l2)) on the block,
+        written into `out`, which both calls share."""
         xr = xi[r]
-        z = xr[:, None] * xr
-        z *= np.conj(xi)[l3]
+        z = np.multiply(xr[:, None], xr, out=out)
+        z *= at_sums(np.conj(xi))
         z *= Br
         return z
 
     z = cycles(xi)
     d = mu[r][:, None] + mu[r]
-    d -= mu[l3]
-    z, d = z[m], d[m]
+    d -= at_sums(mu)
+    z, d = (z.ravel(), d.ravel()) if every else (z[m], d[m])
     # bin d - low: the weights span a few multiples of n, so bins are few
     low = d.min(initial=0)
     d -= low
@@ -200,20 +259,20 @@ def propagate_phases(support, B: Bispectrum) -> PhaseAssignment:
         # t + 2*pi*j/gcd(ds) is the same gauge; take the least of them
         t = float(cands[np.argmax(score)] % (TWO_PI / np.gcd.reduce(ds)))
     xi = xi * np.exp(1j * t * mu)
-    neg = (-idx) % n
+    neg = (-np.arange(n)) % n
     sym = known & known[neg]
     xi[sym] = _unit(xi[sym] + np.conj(xi[neg[sym]]))
 
     z = cycles(xi)
     z -= np.abs(Br)
-    resid = np.abs(z[m])
+    resid = np.abs(z if every else z[m])
     # written so that a NaN residual fails too
     if not resid.max(initial=0.0) <= RESIDUAL_REL_TOL * np.abs(Bc).max():
         raise InconsistentBispectrumError(
             "phase propagation found contradictory cycles; the input is "
             "not a genuine bispectrum of a real nonnegative function")
     return PhaseAssignment(n, dict(zip(r.tolist(), xi[r].tolist())),
-                           tuple(trace), frozenset(targets) - set(r.tolist()))
+                           trace, frozenset(targets) - set(r.tolist()))
 
 
 def _inverse_to_function(n: int, ghat: np.ndarray,
@@ -283,8 +342,9 @@ def _candidate(deck: KDeck, mags: np.ndarray,
     is materially negative or does not reproduce the deck."""
     n = deck.n
     ghat = np.zeros(n, dtype=np.complex128)
-    for l, x in xi.items():
-        ghat[l] = mags[l] * x
+    l = np.fromiter(xi, dtype=np.intp, count=len(xi))
+    ghat[l] = mags[l] * np.fromiter(xi.values(), dtype=np.complex128,
+                                    count=len(xi))
     cand = _inverse_to_function(n, ghat, float(mags[0]))
     if not _verify_deck(cand, deck):
         raise InconsistentBispectrumError(

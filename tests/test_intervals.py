@@ -94,6 +94,21 @@ class TestPartialX:
         E = td.IntervalSet.of([(0, 1), ("3/2", 2)])
         assert td.partial_x_deck(E, F(-1, 4), F(1, 8)) == 2
 
+    def test_endpoint_hit_with_equal_one_sided_derivatives(self):
+        # a_k - x + y lands on an endpoint for two intervals: 13/16 - 3/4
+        # on the right end 1/16, and 77/8 + 1/8 - 3/4 on the left end 9;
+        # one counts from the right, the other from the left
+        E = td.IntervalSet.of([(0, "1/16"), ("11/16", "13/16"),
+                               (9, "145/16"), ("77/8", "157/16")])
+        assert td.partial_x_deck(E, F(-1, 8), F(-3, 4)) == 1
+
+    def test_unequal_one_sided_derivatives_raise(self):
+        # a_1 - x + y = 3/2 is the left end of [3/2, 2]
+        E = td.IntervalSet.of([(0, 1), ("3/2", 2)])
+        with pytest.raises(DomainError, match="left derivative is 1 and "
+                                              "the right derivative is 0"):
+            td.partial_x_deck(E, F(-1, 4), F(5, 4))
+
     def test_regime_enforced(self):
         E = td.IntervalSet.of([(0, 1), (2, 3)])
         with pytest.raises(DomainError):
@@ -111,17 +126,17 @@ class TestPartialX:
         if x == 0 or (gamma is not None and -x >= gamma):
             return
         y = F(ys, 16)
-        try:
-            val = td.partial_x_deck(E, x, y)
-        except DomainError:
-            return
         h = F(1, 10**7)
         mid = td.triple_correlation_exact(E, x, y)
         left = (mid - td.triple_correlation_exact(E, x - h, y)) / h
         right = (td.triple_correlation_exact(E, x + h, y) - mid) / h
-        if left != right:
-            return  # x sits exactly on a breakpoint of the piecewise map
-        assert left == val, (E, x, y)
+        try:
+            val = td.partial_x_deck(E, x, y)
+        except DomainError:
+            # x sits exactly on a breakpoint of the piecewise map
+            assert left != right, (E, x, y)
+            return
+        assert left == right == val, (E, x, y)
 
 
 class TestTranslateEqual:

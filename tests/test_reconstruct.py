@@ -397,6 +397,36 @@ class TestPropagation:
         assert outcomes == {dict, type}  # both results and errors compared
 
 
+    def test_bit_identical_to_the_reference_small_moduli(self):
+        """At n = 1..12: every negation-closed support containing 0; every
+        run {a, ..., b} of nonzero indices, with and without 0; and seeded
+        supports that are not negation-closed or leave out 0.  The spectrum
+        is random on 0 and the support closed under negation.  Of all
+        supports below n = 13, only six have a target with pairs of two
+        weights, all at n = 11, and four of them are runs."""
+        rng = np.random.default_rng(112)
+        for n in range(1, 13):
+            supports = list(_negation_closed_supports(n))
+            supports += [frozenset(range(a, b)) | zero
+                         for a in range(1, n) for b in range(a + 1, n + 1)
+                         for zero in (frozenset(), frozenset({0}))]
+            for _ in range(16):
+                s = frozenset(np.flatnonzero(rng.random(n) < 0.6).tolist())
+                while 0 in s and s == {-l % n for l in s}:
+                    s = frozenset(
+                        np.flatnonzero(rng.random(n) < 0.6).tolist())
+                supports.append(s)
+            for support in supports:
+                # the spectrum lives on 0 and the support closed under
+                # negation, so every pair of support indices has B != 0
+                B = _bispectrum_on(n, {0} | support | {-l % n
+                                                       for l in support},
+                                   rng)
+                want = _bit_outcome(_reference_propagate_phases, support, B)
+                got = _bit_outcome(td.propagate_phases, support, B)
+                assert got == want, (n, sorted(support))
+
+
 class TestReconstructFromDeck:
     def test_spec_example(self):
         f = td.CyclicFunction.of([2, 1, 0])
