@@ -444,13 +444,12 @@ def _words(args) -> list:
             if s]
 
 
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-
 # the JSON text of a str, int, bool or None, looked up by exact type (so
 # that a subclass, say a numpy float, goes through the encoder)
 _SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__,
                 bool: {True: "true", False: "false"}.__getitem__,
                 type(None): lambda _: "null"}
+_SCALARS = frozenset((*_SCALAR_TEXT, float))
 
 
 @functools.cache
