@@ -136,7 +136,7 @@ def _cmd_deck(args):
     deck = k_deck(f, args.k, args.budget)
     if args.format == "csv":
         return None, deck.to_csv()
-    return None, deck.to_json() + "\n"
+    return None, deck.to_json()
 
 
 def _cmd_bispectrum(args):

@@ -34,6 +34,7 @@ MAX_DECK_ORDER = 6  # decks for k > 6 are out of scope
 
 _FLOAT64_EXACT = 2**53  # every integer of magnitude up to this is a double
 _INT64_SAFE = 2**62
+_GCD_CHUNK = 2**12  # entries per step of the lowest-terms gcd
 
 
 def _as_fraction(x) -> Fraction:
@@ -180,8 +181,14 @@ class KDeck:
             return
         if self.denominator < 1:
             raise DomainError("deck denominator must be positive")
-        g = math.gcd(int(np.gcd.reduce(self.values, axis=None)),
-                     self.denominator)
+        # the gcd of the denominator and every entry, folded chunk by chunk
+        # from the denominator and stopping once it reaches 1
+        flat = self.values.reshape(-1)
+        g = self.denominator
+        for i in range(0, flat.size, _GCD_CHUNK):
+            if g == 1:
+                break
+            g = math.gcd(g, int(np.gcd.reduce(flat[i:i + _GCD_CHUNK])))
         if g > 1:
             object.__setattr__(self, "values", self.values // g)
             object.__setattr__(self, "denominator", self.denominator // g)
@@ -261,14 +268,15 @@ class KDeck:
                 "values": self._entries(self.values.reshape(-1))}
 
     def to_json(self) -> str:
-        """The text of json.dumps(self.to_json_dict(), indent=2,
-        sort_keys=True), built from the row texts of _rows."""
+        """The file text: json.dumps(self.to_json_dict(), indent=2,
+        sort_keys=True) and a final newline, built from the row texts of
+        _rows in one join."""
         # head ends in "\n}", and "values" sorts after the header's keys;
         # an exact token, str(a) or "a/b", is json.dumps' text for it
         head = json.dumps(self._header(), indent=2, sort_keys=True)
         rows = self._rows(",\n    ", json.dumps, quote='"')
         rows[0] = f'{head[:-2]},\n  "values": [\n    {rows[0]}'
-        rows[-1] += "\n  ]\n}"
+        rows[-1] += "\n  ]\n}\n"
         return ",\n    ".join(rows)
 
     @classmethod
@@ -338,17 +346,30 @@ def _shift_matrix(n: int) -> np.ndarray:
     return (a[:, None] + a[None, :]) % n  # [s, j] -> (j+s) % n
 
 
+def _shift_products(R: np.ndarray, rows: np.ndarray, m: int) -> np.ndarray:
+    """rows times m more shift rows: out[(t, s_1..s_m), j] = rows[t, j] *
+    R[s_1, j] * ... * R[s_m, j], row-major with j last."""
+    n = R.shape[1]
+    for _ in range(m):
+        rows = (rows[:, None, :] * R[None, :, :]).reshape(-1, n)
+    return rows
+
+
 def _deck_int64(v: np.ndarray, n: int, k: int) -> np.ndarray:
     """The deck contraction of v in v's dtype: float64, int64 or object, one
-    per tier of k_deck, which says when each is exact."""
+    per tier of k_deck, which says when each is exact.
+
+    The k - 1 shift indices split into a left half, ceil((k-1)/2) of them
+    with v's own factor, and a right half; each half is one array of shift
+    products with j last, and the deck is one matrix product of the two
+    over j."""
     R = v[_shift_matrix(n)]  # R[s, j] = v[(j+s) % n]
     if k == 2:
         return R @ v
-    if k == 3:
-        return (R * v[None, :]) @ R.T
-    letters = "abcde"[: k - 1]
-    sub = "j," + ",".join(f"{c}j" for c in letters) + "->" + letters
-    return np.einsum(sub, v, *([R] * (k - 1)), optimize=True)
+    a = k // 2  # ceil((k - 1) / 2)
+    left = _shift_products(R, R * v[None, :], a - 1)
+    right = _shift_products(R, R, k - 2 - a)
+    return (left @ right.T).reshape((n,) * (k - 1))
 
 
 def k_deck(f: CyclicFunction, k: int, budget: Optional[int] = None) -> KDeck:
@@ -379,8 +400,13 @@ def k_deck(f: CyclicFunction, k: int, budget: Optional[int] = None) -> KDeck:
     ints = [v.numerator * (denom // v.denominator) for v in f.values]
     bound = n * max(max(map(abs, ints)), 1) ** k
     if bound < _FLOAT64_EXACT:
-        raw = _deck_int64(np.array(ints, dtype=np.float64), n, k)
-        raw = raw.astype(np.int64)
+        core = _deck_int64(np.array(ints, dtype=np.float64), n, k)
+        # cast in the core's own buffer: a 1-D assignment between views of
+        # one array runs element by element, each read before its write
+        flat = core.reshape(-1)
+        raw = flat.view(np.int64)
+        raw[:] = flat
+        raw = raw.reshape(core.shape)
     else:
         dtype = np.int64 if bound < _INT64_SAFE else object
         raw = _deck_int64(np.array(ints, dtype=dtype), n, k)
@@ -392,22 +418,26 @@ def bispectrum(f: CyclicFunction) -> Bispectrum:
     n = f.n
     l = np.arange(n)
     third = fh[(-(l[:, None] + l[None, :])) % n]
-    return Bispectrum(n, fh[:, None] * fh[None, :] * third)
+    B = fh[:, None] * fh[None, :]
+    B *= third
+    return Bispectrum(n, B)
 
 
 def bispectrum_from_deck(deck: KDeck) -> Bispectrum:
     """2-D transform of a 3-deck: B = n^2 * ifft2(N) under our convention."""
     if deck.k != 3:
         raise DomainError(f"expected a 3-deck, got k={deck.k}")
-    N = deck.as_floats()
-    return Bispectrum(deck.n, np.fft.ifft2(N) * deck.n**2)
+    B = np.fft.ifft2(deck.as_floats())
+    B *= deck.n**2
+    return Bispectrum(deck.n, B)
 
 
 def three_deck_fft(f: CyclicFunction) -> KDeck:
     """3-deck via the bispectrum factorization and an inverse 2-D transform."""
     B = bispectrum(f).values
     n = f.n
-    N = np.fft.fft2(B) / n**2
+    N = np.fft.fft2(B)
+    N /= n**2
     return KDeck(n, 3, np.real(N))
 
 

@@ -529,6 +529,21 @@ class TestDeckOutput:
                 [f"# n={n},k={k},convention=positive-exponent"] + rows) + "\n"
 
 
+class TestDeckText:
+    def test_stdout_and_out_file_are_the_deck_text(self, tmp_path):
+        values = "1/4,1/3,2,0,5/6,1,7"
+        argv = ["deck", "--k", "5", "--values", values]
+        text = trideck.k_deck(
+            trideck.CyclicFunction.of(values.split(",")), 5).to_json()
+        assert text.endswith("}\n")
+        code, out, _ = _run_quiet(argv)
+        assert code == EXIT_OK and out == text
+        path = tmp_path / "deck.json"
+        code, out, _ = _run_quiet(argv + ["--out", str(path)])
+        assert code == EXIT_OK and out == ""
+        assert path.read_bytes() == text.encode()
+
+
 class TestMalformedInput:
     def test_deck_without_k(self, capsys, tmp_path):
         p = tmp_path / "deck.json"

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,34 @@ def test_deck_core_contraction_order_is_exact(k, dtype):
         + "abcde"[:k - 1]
     assert np.array_equal(_deck_int64(v, n, k),
                           np.einsum(sub, v, *([R] * (k - 1)), optimize=False))
+
+
+def _brute_deck(v, k):
+    """sum_j v_j v_{j+s_1} ... v_{j+s_{k-1}} for every (s_1..s_{k-1}),
+    row-major, in Python ints."""
+    n = len(v)
+    out = []
+    for s in itertools.product(range(n), repeat=k - 1):
+        total = 0
+        for j in range(n):
+            p = v[j]
+            for t in s:
+                p *= v[(j + t) % n]
+            total += p
+        out.append(total)
+    return out
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_deck_core_matches_brute_force(k, n):
+    # signed values, each tier at a size it holds exactly: 6 * 9^6 < 2^53
+    v = np.random.default_rng(10 * k + n).integers(-9, 10, n).tolist()
+    big = [x * 10**20 + 1 for x in v]
+    for dtype, ints in ((np.float64, v), (np.int64, v), (object, big)):
+        got = _deck_int64(np.array(ints, dtype=dtype), n, k)
+        assert got.shape == (n,) * (k - 1) and got.dtype == dtype
+        assert got.reshape(-1).tolist() == _brute_deck(ints, k)
 
 
 def _tier_inputs(k, n, above):
@@ -66,6 +95,8 @@ def test_float64_tier_boundary(k, above, monkeypatch):
             assert got.denominator == 1
             assert got.values.dtype == np.int64
             assert got.values.tolist() == want.tolist()
+            assert want.reshape(-1).tolist() == _brute_deck(
+                [int(x) for x in f.values], k)
     assert set(used) == {np.dtype(np.int64 if above else np.float64)}
 
 
@@ -253,6 +284,41 @@ class TestKDeck:
         assert tiny.to_csv().splitlines()[1:] == [f"1/{3**90},0", "0,0"]
         assert tiny.as_floats()[0, 0] == float(Fraction(1, 3**90))
 
+    def test_lowest_terms_factor_fails_in_last_chunk(self):
+        # 17^3 entries: a full chunk of 4096 multiples of 6, then a partial
+        # one whose last entry is 3 mod 6
+        values = np.full((17,) * 3, 12, dtype=np.int64)
+        values[-1, -1, -1] = 9
+        assert values.size > cyclic._GCD_CHUNK
+        d = td.KDeck(17, 4, values, 30)
+        assert d.denominator == 10
+        assert d.values.reshape(-1).tolist() == [4] * (17**3 - 1) + [3]
+        d = td.KDeck(17, 4, values.astype(object) * 10**30, 30)
+        assert d.denominator == 1 and d.values[-1, -1, -1] == 3 * 10**29
+
+    def test_lowest_terms_denominator_one_keeps_the_array(self):
+        values = np.arange(8, dtype=np.int64).reshape(2, 2, 2) * 4
+        d = td.KDeck(2, 4, values, 1)
+        assert d.values is values and d.denominator == 1
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_lowest_terms_all_zero(self, dtype):
+        d = td.KDeck(3, 3, np.zeros((3, 3), dtype=dtype), 12)
+        assert d.denominator == 1 and d.values.tolist() == [[0] * 3] * 3
+
+    @given(st.lists(st.integers(-60, 60), min_size=1, max_size=9),
+           st.integers(1, 120), st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_lowest_terms_chunked_gcd_is_the_full_gcd(self, values, den,
+                                                      chunk):
+        g = math.gcd(den, *values)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cyclic, "_GCD_CHUNK", chunk)
+            d = td.KDeck(len(values), 2, np.array(values, dtype=np.int64),
+                         den)
+        assert d.denominator == den // g
+        assert d.values.tolist() == [x // g for x in values]
+
     @pytest.mark.parametrize("values", [
         ["1000001/7", "3/7", "5/7"],  # int64 entries >= 2^53
         [f"{10**12 + 1}/3", 1, "2/9"],  # object entries
@@ -308,7 +374,7 @@ class TestKDeck:
         plain = {"n": d.n, "k": d.k, "convention": "positive-exponent",
                  "values": flat}
         text = json.dumps(plain, indent=2, sort_keys=True)
-        assert d.to_json() == text
+        assert d.to_json() == text + "\n"
         assert json.dumps(d.to_json_dict(), indent=2, sort_keys=True) == text
 
     @pytest.mark.parametrize("deck", _DECKS, ids=_DECK_IDS)
@@ -357,6 +423,26 @@ class TestBispectrum:
         B1 = td.bispectrum(f).values
         B2 = td.bispectrum_from_deck(td.k_deck(f, 3)).values
         assert np.max(np.abs(B1 - B2)) < 1e-8 * np.max(np.abs(B1))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_in_place_scaling_is_bit_identical(self, seed):
+        # test-local copies of the expressions that allocated a fresh n x n
+        # array for each product or scaling
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        f = td.CyclicFunction.of(rng.integers(0, 9, n).tolist())
+        fh = td.dft(f).values
+        l = np.arange(n)
+        third = fh[(-(l[:, None] + l[None, :])) % n]
+        B = fh[:, None] * fh[None, :] * third
+        deck = td.k_deck(f, 3)
+        from_deck = np.fft.ifft2(deck.as_floats()) * n**2
+        N = np.real(np.fft.fft2(B) / n**2)
+        for got, want in ((td.bispectrum(f).values, B),
+                          (td.bispectrum_from_deck(deck).values, from_deck),
+                          (td.three_deck_fft(f).values, N)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_wrong_order_rejected(self):
         with pytest.raises(DomainError):
