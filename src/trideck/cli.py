@@ -150,7 +150,7 @@ def _cmd_reconstruct(args):
             deck = KDeck.from_json_dict(json.load(fh))
     else:
         deck = k_deck(_function_from_args(args), 3, args.budget)
-    return reconstruct_from_deck(deck).to_json_dict(), None
+    return None, reconstruct_from_deck(deck).to_json()
 
 
 def _cmd_zeros(args):

@@ -122,7 +122,13 @@ class CyclicFunction:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CyclicFunction":
-        return cls(int(d["n"]), tuple(_as_fraction(v) for v in d["values"]))
+        """Raises DomainError on a JSON true or false among the values,
+        which would otherwise read as 1 or 0."""
+        values = d["values"]
+        if bool in set(map(type, values)):
+            raise DomainError(
+                "function values must be finite numbers or rational strings")
+        return cls(int(d["n"]), tuple(_as_fraction(v) for v in values))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -283,7 +289,8 @@ class KDeck:
     def from_json_dict(cls, d) -> "KDeck":
         """Exact when any value is a string or all are ints, else float.
         Raises DomainError on a missing key, a wrong value count or a
-        non-finite or non-numeric value."""
+        non-finite or non-numeric value; a JSON true or false is not a
+        number here."""
         if not isinstance(d, dict) or not {"n", "k", "values"} <= d.keys():
             raise DomainError("a deck needs the keys n, k and values")
         n, k, raw = d["n"], d["k"], d["values"]
@@ -296,7 +303,8 @@ class KDeck:
                 f"a deck with n={n}, k={k} needs a list of {n ** (k - 1)} "
                 "values")
         kinds = set(map(type, raw))
-        if not all(issubclass(t, (int, str, float)) for t in kinds):
+        if bool in kinds or not all(issubclass(t, (int, str, float))
+                                    for t in kinds):
             raise DomainError(
                 "deck values must be finite numbers or rational strings")
         shape = (n,) * (k - 1)

@@ -16,6 +16,7 @@ bispectrum on the reached support to a relative 1e-6 of max|B|.
 from __future__ import annotations
 
 import dataclasses
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
@@ -54,6 +55,32 @@ class Uniqueness:
     count: Optional[int] = None
 
 
+# the report's text, json.dumps(to_json_dict(), indent=2, sort_keys=True)
+# and a newline, as %-templates at the depth each part is written at
+_REPORT = ('{\n  "candidates": %s,\n  "gauge_shift": %d,\n  "trace": %s,\n'
+           '  "uniqueness": {\n    "count": %s,\n    "kind": %s\n  }\n}\n')
+_CANDIDATE = ('{\n      "n": %d,\n      "values": [\n        %s\n'
+              '      ]\n    }')
+_STEP = ('{\n      "target": %d,\n      "via": [\n        %d,\n'
+         '        %d\n      ]\n    }')
+_ITEM_SEP = ",\n    "  # between the candidates, and the trace steps
+_VALUE_SEP = ",\n        "  # between the values of a candidate
+
+
+def _json_list(items: list) -> str:
+    """The list of the item texts at depth 1 of the report."""
+    if not items:
+        return "[]"
+    return "[\n    " + _ITEM_SEP.join(items) + "\n  ]"
+
+
+def _tokens(values) -> list[str]:
+    """The JSON text of each value: its numerator when it is an integer,
+    else the string "p/q", which needs no escaping."""
+    return [str(v.numerator) if v.denominator == 1 else '"%s"' % v
+            for v in values]
+
+
 @dataclasses.dataclass(frozen=True)
 class ReconstructionReport:
     candidates: tuple[CyclicFunction, ...]
@@ -70,6 +97,39 @@ class ReconstructionReport:
             "trace": [{"target": t["target"], "via": t["via"]}
                       for t in self.trace],
         }
+
+    def to_json(self) -> str:
+        """The file text: json.dumps(self.to_json_dict(), indent=2,
+        sort_keys=True) and a final newline, in one pass.
+
+        A pq family's members are the translates of member 0 in the order
+        of _pq_shifts, so each member's values are a window of member 0's
+        tokens taken twice over, cut where its shift puts member 0's first
+        value.  Each member is checked exactly against its rotation of
+        member 0 before the window is used; a member that fails the check,
+        as in a report built by hand, is formatted on its own."""
+        cands = self.candidates
+        texts = []
+        if cands:
+            first = cands[0].values
+            n = len(first)
+            tokens = _tokens(first)
+            doubled = tokens + tokens
+            pq = _two_primes(n) if len(cands) == n else None
+            cuts = ([-s % n for s in _pq_shifts(*pq)] if pq
+                    else [0] + [None] * (len(cands) - 1))
+            for c, cut in zip(cands, cuts):
+                if cut is not None and c.values == first[cut:] + first[:cut]:
+                    body = _VALUE_SEP.join(doubled[cut:cut + n])
+                else:
+                    body = _VALUE_SEP.join(_tokens(c.values))
+                texts.append(_CANDIDATE % (c.n, body))
+        steps = [_STEP % (t["target"], *t["via"]) for t in self.trace]
+        count = self.uniqueness.count
+        return _REPORT % (_json_list(texts), self.gauge_shift,
+                          _json_list(steps),
+                          "null" if count is None else "%d" % count,
+                          encode_basestring_ascii(self.uniqueness.kind))
 
 
 def magnitudes_from_bispectrum(B: Bispectrum) -> np.ndarray:
@@ -322,9 +382,9 @@ def reconstruct_from_deck(deck: KDeck) -> ReconstructionReport:
                                     Uniqueness("UniqueUpToTranslation"),
                                     shift, pa.trace)
 
-    fact = _factorize(n)
-    if len(fact) == 2 and all(a == 1 for a in fact.values()):
-        p, q = sorted(fact)
+    pq = _two_primes(n)
+    if pq is not None:
+        p, q = pq
         if all(l % p == 0 or l % q == 0 for l in support):
             cands = _pq_family(deck, B, mags, support, p, q, pa)
             if cands is not None:
@@ -382,12 +442,26 @@ def _pq_family(deck: KDeck, B: Bispectrum, mags: np.ndarray, support,
     return _translates_pq(canon, p, q)
 
 
+def _two_primes(n: int) -> Optional[tuple[int, int]]:
+    """(p, q) with p < q distinct primes and n = p*q, else None."""
+    fact = _factorize(n)
+    if len(fact) == 2 and all(a == 1 for a in fact.values()):
+        return tuple(sorted(fact))
+    return None
+
+
+def _pq_shifts(p: int, q: int) -> list[int]:
+    """The shifts s = j*a + l*b, j < p and l < q, in that order: a and b
+    are the CRT idempotents, so s = j mod p, s = l mod q."""
+    a, b = q * pow(q, -1, p), p * pow(p, -1, q)
+    return [j * a + l * b for j in range(p) for l in range(q)]
+
+
 def _translates_pq(f: CyclicFunction, p: int,
                    q: int) -> list[CyclicFunction]:
-    """The p*q translates of f by s = j*a + l*b, j < p and l < q, in that
-    order: a and b are the CRT idempotents, so s = j mod p, s = l mod q."""
-    a, b = q * pow(q, -1, p), p * pow(p, -1, q)
-    return [translate(f, j * a + l * b) for j in range(p) for l in range(q)]
+    """The p*q translates of f by the shifts of _pq_shifts, in that
+    order."""
+    return [translate(f, s) for s in _pq_shifts(p, q)]
 
 
 def solutions_pq(f: CyclicFunction, p: int, q: int) -> list[CyclicFunction]:

@@ -463,7 +463,7 @@ class TestJsonWriter:
         for words, rest in runs.items():
             args = cli._parse([*words, *rest])
             result, text = args.func(args)
-            if text is not None:  # deck prints finished text
+            if text is not None:  # deck and reconstruct print their text
                 result = json.loads(text)
                 assert cli._dumps(result) + "\n" == text
             self._assert_same(result)
@@ -544,12 +544,41 @@ class TestDeckText:
         assert path.read_bytes() == text.encode()
 
 
+class TestReportText:
+    def test_stdout_and_out_file_are_the_report_text(self, tmp_path):
+        # a pq input: the family of the 15 translates
+        values = "1,5,3,4,3,2,3,4,5,1,3,4,2,6,2"
+        argv = ["reconstruct", "--values", values]
+        rep = trideck.reconstruct_from_deck(trideck.k_deck(
+            trideck.CyclicFunction.of(values.split(",")), 3))
+        assert rep.uniqueness == trideck.Uniqueness("FiniteFamily", 15)
+        text = rep.to_json()
+        assert text == json.dumps(rep.to_json_dict(), indent=2,
+                                  sort_keys=True) + "\n"
+        code, out, _ = _run_quiet(argv)
+        assert code == EXIT_OK and out == text
+        path = tmp_path / "report.json"
+        code, out, _ = _run_quiet(argv + ["--out", str(path)])
+        assert code == EXIT_OK and out == ""
+        assert path.read_bytes() == text.encode()
+
+
 class TestMalformedInput:
     def test_deck_without_k(self, capsys, tmp_path):
         p = tmp_path / "deck.json"
         p.write_text(json.dumps({"n": 2, "values": [1, 2, 2, 1]}))
         code, _, err = run(capsys, "reconstruct", "--deck", str(p))
         assert code == EXIT_DOMAIN and "keys n, k and values" in err
+
+    @pytest.mark.parametrize("values", [[True, False, False, False],
+                                        [1.5, False, 0.0, 0.0]])
+    def test_deck_of_booleans(self, capsys, tmp_path, values):
+        p = tmp_path / "deck.json"
+        p.write_text(json.dumps({"n": 2, "k": 3, "values": values}))
+        code, out, err = run(capsys, "reconstruct", "--deck", str(p))
+        assert code == EXIT_DOMAIN and out == ""
+        assert err == ("trideck: error: deck values must be finite numbers "
+                       "or rational strings\n")
 
     @pytest.mark.parametrize("command", ["zeros", "classify"])
     @pytest.mark.parametrize("n", ["0", "-1"])

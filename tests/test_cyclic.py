@@ -160,6 +160,13 @@ class TestCyclicFunction:
         assert td.CyclicFunction.from_json_dict(
             json.loads(json.dumps(f.to_json_dict()))) == f
 
+    @pytest.mark.parametrize("values", [[1, True, 0], [False, 2, "1/2"],
+                                        [0.5, False, 1.0]])
+    def test_json_loader_rejects_booleans(self, values):
+        with pytest.raises(DomainError, match="values must be finite "
+                           "numbers or rational strings"):
+            td.CyclicFunction.from_json_dict({"n": 3, "values": values})
+
     # 3 + 7e-10 is 7e-10 from 3 but 3e-10 from 3 + 1/10^9: a threshold of
     # 1e-9 in place of 5e-10 would round it to 3.
     _EDGES = [3 + 7e-10, 3 + 4.99e-10, 3 + 5.01e-10, -3 - 4.99e-10,
@@ -411,6 +418,11 @@ class TestKDeck:
         {"n": 2, "k": 3, "values": ["1/2", "1/0", 3, 4]},
         {"n": 2, "k": 3, "values": ["1/2", float("inf"), 3, 4]},
         {"n": 2, "k": 3, "values": [1, None, 3, 4]},
+        # JSON booleans are not numbers, in an exact deck or a float one
+        {"n": 2, "k": 3, "values": [True, False, False, False]},
+        {"n": 2, "k": 3, "values": [1, 0, 0, True]},
+        {"n": 2, "k": 3, "values": ["1/2", True, 0, 0]},
+        {"n": 2, "k": 3, "values": [1.5, False, 0.0, 0.0]},
     ])
     def test_json_loader_rejects_malformed(self, d):
         with pytest.raises(DomainError):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 from fractions import Fraction
@@ -13,7 +14,8 @@ from trideck.cyclic import Bispectrum
 from trideck.cyclotomic import _factorize, function_poly, zero_pattern_of_poly
 from trideck.errors import DomainError, InconsistentBispectrumError
 from trideck import reconstruct
-from trideck.reconstruct import PhaseAssignment, _candidate, _translates_pq
+from trideck.reconstruct import (PhaseAssignment, _candidate, _pq_shifts,
+                                 _translates_pq)
 
 
 def _rounded(f):
@@ -602,6 +604,89 @@ class TestReconstructFromDeck:
         d = rep.to_json_dict()
         assert d["uniqueness"]["kind"] == "UniqueUpToTranslation"
         assert all(set(t) == {"target", "via"} for t in d["trace"])
+
+
+def _plain_text(rep):
+    return json.dumps(rep.to_json_dict(), indent=2, sort_keys=True) + "\n"
+
+
+def _report_corpus():
+    """Reports of every kind, from exact and float decks: unique, pq
+    families, Indeterminate, the zero function (no trace), and integer and
+    rational values."""
+    rng = np.random.default_rng(21)
+    fs = [td.CyclicFunction.of([int(v) for v in rng.integers(1, 8, n)])
+          for n in (1, 2, 7, 32)]
+    fs.append(td.CyclicFunction.of(
+        [Fraction(int(a), int(b))
+         for a, b in zip(rng.integers(0, 5, 12), rng.integers(1, 7, 12))]))
+    fs += [_seeded_split_function(p, q) for p, q in SEEDED_PQ]
+    fs.append(_split_function([0, Fraction(1, 2), 2],
+                              [Fraction(1, 3), 1, 0, 2, Fraction(5, 4)]))
+    # antipodal: f equals its translate by 6
+    fs.append(td.CyclicFunction.indicator(12, [0, 1, 2, 6, 7, 8]))
+    fs.append(td.CyclicFunction.of([0] * 6))
+    reps = []
+    for f in fs:
+        for deck in (td.k_deck(f, 3), td.three_deck_fft(f)):
+            reps.append(td.reconstruct_from_deck(deck))
+    return reps
+
+
+class TestReportText:
+    """to_json() is the plain encoding of to_json_dict(), byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return _report_corpus()
+
+    def test_corpus_covers_every_case(self, corpus):
+        kinds = {r.uniqueness.kind for r in corpus}
+        assert kinds == {"UniqueUpToTranslation", "FiniteFamily",
+                         "Indeterminate"}
+        assert any(not r.trace and r.candidates for r in corpus)
+        tokens = [v for r in corpus for c in r.candidates for v in c.values]
+        assert {v.denominator == 1 for v in tokens} == {True, False}
+
+    def test_bytes_match_plain_encoding(self, corpus):
+        for rep in corpus:
+            assert rep.to_json() == _plain_text(rep)
+
+    @given(st.integers(3, 16), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_match_plain_encoding_fuzz(self, n, data):
+        vals = data.draw(st.lists(st.sampled_from(
+            [0, 1, 2, 5, Fraction(1, 2), Fraction(7, 3)]),
+            min_size=n, max_size=n))
+        f = td.CyclicFunction.of(vals)
+        for deck in (td.k_deck(f, 3), td.three_deck_fft(f)):
+            try:
+                rep = td.reconstruct_from_deck(deck)
+            except InconsistentBispectrumError:
+                continue
+            assert rep.to_json() == _plain_text(rep)
+
+    @pytest.mark.parametrize("p, q", SEEDED_PQ)
+    def test_family_members_are_the_shifts_of_member_0(self, p, q):
+        rep = td.reconstruct_from_deck(
+            td.k_deck(_seeded_split_function(p, q), 3))
+        first = rep.candidates[0]
+        assert list(rep.candidates) == [td.translate(first, s)
+                                        for s in _pq_shifts(p, q)]
+
+    def test_members_out_of_order_are_formatted_on_their_own(self):
+        rep = td.reconstruct_from_deck(
+            td.k_deck(_seeded_split_function(5, 7), 3))
+        members = list(rep.candidates)
+        stranger = td.CyclicFunction.of([1] * 35)
+        orders = [members[::-1], members[1:] + members[:1],
+                  members[:1] + members[2:] + members[1:2],
+                  members[:-1] + [stranger]]
+        for cands in orders:
+            hand = dataclasses.replace(rep, candidates=tuple(cands))
+            assert hand.to_json() == _plain_text(hand)
+            assert json.loads(hand.to_json())["candidates"] == [
+                c.to_json_dict() for c in cands]
 
 
 class TestNoisyDeck:
