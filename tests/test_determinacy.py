@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from collections import Counter
@@ -73,6 +74,32 @@ def _zero_by_divisor(bits, n):
     return has_zero
 
 
+@functools.cache
+def _exhaustive_hits_by_divisor(n):
+    """The orbit-weighted count of sets with a spectral zero, by the
+    divisor check on every orbit's least mask at once."""
+    reps = _orbit_reps(n)
+    size = np.full(len(reps), n)
+    for a in range(n - 1, 0, -1):
+        if n % a == 0:
+            size[_rotate(reps, n, a) == reps] = a
+    bits = (reps[:, None] >> np.arange(n, dtype=reps.dtype)) & 1
+    return int(size[_zero_by_divisor(bits.astype(np.int64), n)].sum())
+
+
+@functools.cache
+def _sampled_hits_by_divisor(n, samples, seed):
+    """The sampled count by the divisor check, on the survey's draws: rows
+    of n bits from Philox(seed), 2^14 rows a draw."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    hits = 0
+    for done in range(0, samples, 1 << 14):
+        m = min(samples - done, 1 << 14)
+        bits = rng.integers(0, 2, size=(m, n), dtype=np.int64)
+        hits += int(_zero_by_divisor(bits, n).sum())
+    return hits
+
+
 class TestExhaustive:
     def test_prime_modulus_unique(self):
         rep = td.exhaustive_determinacy(7, 3)
@@ -128,6 +155,27 @@ class TestExhaustive:
                         if m == min(_rotations(m, n))]
         assert 3 <= len(kept) < len(masks)
 
+    @pytest.mark.parametrize("chunk", [1, 3, 1 << 14])
+    def test_orbit_reps_across_chunk_boundaries(self, monkeypatch, chunk):
+        # chunks of 3 candidates leave a partial last chunk at every n >= 4
+        want = [_least_in_orbit(np.arange(1 << n, dtype=np.uint32), n)
+                for n in range(1, 17)]
+        monkeypatch.setattr(determinacy, "_CHUNK", chunk)
+        for n in range(1, 17):
+            assert np.array_equal(_orbit_reps(n), want[n - 1]), n
+
+    @pytest.mark.parametrize("n", [5, 12, 18, 33])
+    def test_least_in_orbit_in_any_shift_order(self, n):
+        # a mask is kept when no rotation is smaller, whatever the order in
+        # which the rotations are compared
+        dtype = np.uint32 if n <= 32 else np.uint64
+        rng = np.random.default_rng(n)
+        masks = rng.integers(0, 1 << n, size=5000, dtype=dtype)
+        kept = _least_in_orbit(masks, n)
+        for _ in range(3):
+            shifts = rng.permutation(np.arange(1, n)).tolist()
+            assert np.array_equal(_least_in_orbit(masks, n, shifts), kept)
+
     @pytest.mark.parametrize("n,k", [(n, k) for k in (2, 3)
                                      for n in range(1, 13)]
                              + [(n, 4) for n in range(1, 11)]
@@ -163,6 +211,16 @@ class TestExhaustive:
             determinacy, "_stage1_hash",
             lambda reps, n, k: np.zeros(len(reps), dtype=np.uint64))
         assert [td.exhaustive_determinacy(n, k) for n in moduli] == reports
+
+    @pytest.mark.parametrize("n,k", [(7, 3), (12, 4)])
+    def test_no_shared_hash_skips_the_exact_stage(self, monkeypatch, n, k):
+        # no two orbits share a stage-1 hash here, so no deck row is built
+        def refuse(masks, n, k):
+            raise AssertionError("_deck_rows called with nothing colliding")
+        monkeypatch.setattr(determinacy, "_deck_rows", refuse)
+        report = td.exhaustive_determinacy(n, k)
+        assert report == _sweep_by_loop(n, k)
+        assert report.runtime_stats["deck_classes"] == _burnside(n)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_stage1_hash_is_the_column_fold(self, k):
@@ -256,23 +314,27 @@ class TestSurvey:
     @pytest.mark.parametrize("n", range(13, 21))
     def test_exhaustive_matches_divisor_check(self, n):
         # the orbit-weighted count with one int64 product per divisor
-        reps = _orbit_reps(n)
-        size = np.full(len(reps), n)
-        for a in range(n - 1, 0, -1):
-            if n % a == 0:
-                size[_rotate(reps, n, a) == reps] = a
-        bits = (reps[:, None] >> np.arange(n, dtype=reps.dtype)) & 1
-        hits = int(size[_zero_by_divisor(bits.astype(np.int64), n)].sum())
         r = td.survey_zero_proportion(n, mode="exhaustive")
-        assert (r.hits, r.samples) == (hits, 1 << n)
+        assert (r.hits, r.samples) == (_exhaustive_hits_by_divisor(n),
+                                       1 << n)
 
     @pytest.mark.parametrize("n", [26, 105, 210])  # Phi_105 has a -2
     @pytest.mark.parametrize("seed", range(3))
     def test_sampled_matches_divisor_check(self, n, seed):
-        rng = np.random.Generator(np.random.Philox(seed))
-        bits = rng.integers(0, 2, size=(2000, n), dtype=np.int64)
         r = td.survey_zero_proportion(n, 2000, seed, "sampled")
-        assert r.hits == int(_zero_by_divisor(bits, n).sum())
+        assert r.hits == _sampled_hits_by_divisor(n, 2000, seed)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 512, 4096])
+    def test_survey_across_chunk_boundaries(self, monkeypatch, chunk):
+        # 20 000 samples are drawn as 16 384 + 3 616 rows, and each draw and
+        # the orbit list (352..4 116 orbits) is tested a chunk at a time; the
+        # last orbit, the full set, has a zero at every n > 1
+        monkeypatch.setattr(determinacy, "_SURVEY_CHUNK", chunk)
+        for n in range(12, 17):
+            r = td.survey_zero_proportion(n, mode="exhaustive")
+            assert r.hits == _exhaustive_hits_by_divisor(n), n
+        r = td.survey_zero_proportion(26, 20000, 0, "sampled")
+        assert r.hits == _sampled_hits_by_divisor(26, 20000, 0)
 
     @pytest.mark.parametrize("n", [*range(1, 65), 105, 210, 1155])
     def test_residue_matrix_is_float_when_exact(self, n):
