@@ -24,7 +24,8 @@ from .errors import BudgetError, DomainError, TrideckError
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 # Chunk sizes keep each temporary of a pass in L2 and under glibc's 128 KiB
 # mmap threshold, so the heap hands the same blocks to the next chunk and
-# no page faults in again; picked by timing 2^12..2^16 at n = 18..24.
+# no page faults in again.  Picked by timing 2^12..2^16 candidates and
+# 2^7..2^12 sets at n = 18..24.
 _CHUNK = 1 << 14  # candidate masks canonicalized at once
 _HASH_CHUNK = 1 << 16  # representatives whose n rotations are held at once
 _SURVEY_CHUNK = 1 << 9  # sets tested for spectral zeros at once
