@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Every run emits a RunManifest (to stderr, or next to the output file when
+Every run emits a manifest (to stderr, or next to the output file when
 --out is given) so that (command, parameters, seed) reproduce the primary
 output byte for byte.  Exit codes: 0 success, 1 domain error, 2 budget
 refusal, 64 usage error.
@@ -9,7 +9,6 @@ refusal, 64 usage error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -18,7 +17,6 @@ import re
 import sys
 import time
 from fractions import Fraction
-from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 
@@ -59,19 +57,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); we want 64
         raise _UsageError(f"{self.prog}: error: {message}\n"
                           f"{self.format_usage()}")
-
-
-@dataclasses.dataclass
-class RunManifest:
-    command: str
-    parameters: dict
-    seed: object
-    versions: dict
-    wall_time: float
-    output_paths: list
-
-    def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -128,20 +113,20 @@ def _interval_set(spec: str) -> IntervalSet:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (result_dict, None) or (None, text), the
-# text being the finished primary output.
+# Subcommand handlers: each returns a result dict, or the finished text of
+# the primary output.
 
 def _cmd_deck(args):
     f = _function_from_args(args)
     deck = k_deck(f, args.k, args.budget)
     if args.format == "csv":
-        return None, deck.to_csv()
-    return None, deck.to_json()
+        return deck.to_csv()
+    return deck.to_json()
 
 
 def _cmd_bispectrum(args):
     f = _function_from_args(args)
-    return bispectrum(f).to_json_dict(), None
+    return bispectrum(f).to_json_dict()
 
 
 def _cmd_reconstruct(args):
@@ -150,37 +135,37 @@ def _cmd_reconstruct(args):
             deck = KDeck.from_json_dict(json.load(fh))
     else:
         deck = k_deck(_function_from_args(args), 3, args.budget)
-    return None, reconstruct_from_deck(deck).to_json()
+    return reconstruct_from_deck(deck).to_json()
 
 
 def _cmd_zeros(args):
-    return zero_set(args.n, _int_list(args.set)).to_json_dict(), None
+    return zero_set(args.n, _int_list(args.set)).to_json_dict()
 
 
 def _cmd_classify(args):
     pattern = zero_set(args.n, _int_list(args.set))
-    return classify_zero_pattern(args.n, pattern).to_json_dict(), None
+    return classify_zero_pattern(args.n, pattern).to_json_dict()
 
 
 def _cmd_sweep(args):
     return exhaustive_determinacy(args.n, args.k,
-                                  args.budget).to_json_dict(), None
+                                  args.budget).to_json_dict()
 
 
 def _cmd_gm(args):
-    return gm_counterexample(args.p, args.q, args.r).to_json_dict(), None
+    return gm_counterexample(args.p, args.q, args.r).to_json_dict()
 
 
 def _cmd_survey(args):
     res = survey_zero_proportion(args.n, args.samples, args.seed, args.mode)
-    return res.to_json_dict(), None
+    return res.to_json_dict()
 
 
 def _cmd_allk(args):
     f = CyclicFunction.indicator(args.n, _int_list(args.set))
     g = CyclicFunction.indicator(args.n, _int_list(args.other))
     res = verify_all_k_uniqueness(f, g, args.kmax, args.budget)
-    return res.to_json_dict(), None
+    return res.to_json_dict()
 
 
 def _cmd_intervals_deck(args):
@@ -188,24 +173,24 @@ def _cmd_intervals_deck(args):
     x, y = _rational(args.x, "--x"), _rational(args.y, "--y")
     val = triple_correlation_exact(E, x, y)
     gap = gap_functional(E, x, y)
-    return {"N": str(val), "G": str(gap)}, None
+    return {"N": str(val), "G": str(gap)}
 
 
 def _cmd_intervals_gaps(args):
-    return gap_profile(_interval_set(args.set)).to_json_dict(), None
+    return gap_profile(_interval_set(args.set)).to_json_dict()
 
 
 def _cmd_intervals_ddx(args):
     E = _interval_set(args.set)
     x, y = _rational(args.x, "--x"), _rational(args.y, "--y")
-    return {"ddx": partial_x_deck(E, x, y)}, None
+    return {"ddx": partial_x_deck(E, x, y)}
 
 
 def _cmd_intervals_translate(args):
     E = _interval_set(args.set)
     F = _interval_set(args.other)
     shift = translate_equal_sets(E, F, _rational(args.tol, "--tol"))
-    return {"shift": None if shift is None else str(shift)}, None
+    return {"shift": None if shift is None else str(shift)}
 
 
 def _charge_grid(samples: float, budget=None) -> None:
@@ -246,7 +231,7 @@ def _cmd_rline_cospair(args):
         g.save_csv(args.save_prefix + "_g.csv")
         out["saved"] = [args.save_prefix + "_f.csv",
                         args.save_prefix + "_g.csv"]
-    return out, None
+    return out
 
 
 def _cmd_rline_riesz(args):
@@ -255,12 +240,12 @@ def _cmd_rline_riesz(args):
     f, g = riesz_pair(_int_list(args.signs),
                       [_real(a, "--amps") for a in args.amps.split(",")],
                       args.k, h, args.half_width, args.tail_tol)
-    return _pair_summary(f, g, args), None
+    return _pair_summary(f, g, args)
 
 
 def _cmd_rline_stability(args):
     g = SampledFunction.load_csv(args.infile)
-    return indicator_stability_check(g, args.tol).to_json_dict(), None
+    return indicator_stability_check(g, args.tol).to_json_dict()
 
 
 def _random_step(rng, h: float, length: int) -> SampledFunction:
@@ -289,7 +274,7 @@ def _cmd_rline_norms(args):
             if res.rhs > 0:
                 worst = max(worst, res.lhs / res.rhs)
     return {"draws": args.draws, "configs": [c[0] for c in configs],
-            "violations": violations, "worst_ratio": worst}, None
+            "violations": violations, "worst_ratio": worst}
 
 
 def _cmd_rline_continuity(args):
@@ -302,7 +287,7 @@ def _cmd_rline_continuity(args):
     radii = [_real(r, "--radii") for r in args.radii.split(",")]
     devs = continuity_probe(f, args.k, radii)
     return {"k": args.k, "limit": f.riemann(args.k + 1),
-            "deviations": [[r, d] for r, d in devs]}, None
+            "deviations": [[r, d] for r, d in devs]}
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +363,8 @@ COMMANDS = {
 }
 
 
-def _add_leaf(p: _Parser, words, options) -> _Parser:
-    """Add a leaf's options to its parser and bind its handler."""
+def _add_leaf(p: _Parser, options) -> _Parser:
+    """Add a leaf's options to its parser."""
     for opt in options:
         if isinstance(opt, list):
             group = p.add_mutually_exclusive_group(required=True)
@@ -387,8 +372,6 @@ def _add_leaf(p: _Parser, words, options) -> _Parser:
                 group.add_argument(flag, **kw)
         else:
             p.add_argument(opt[0], **opt[1])
-    # looked up now, not at import, so that a rebound _cmd_* is the one run
-    p.set_defaults(func=globals()["_cmd_" + "_".join(words)])
     return p
 
 
@@ -401,25 +384,26 @@ def build_parser() -> _Parser:
     for name, node in COMMANDS.items():
         p = sub.add_parser(name)
         if isinstance(node, list):
-            _add_leaf(p, [name], node)
+            _add_leaf(p, node)
             continue
         group = p.add_subparsers(dest="subcommand", required=True,
                                  parser_class=_Parser)
         for leaf, options in node.items():
-            _add_leaf(group.add_parser(leaf), [name, leaf], options)
+            _add_leaf(group.add_parser(leaf), options)
     return top
 
 
-def _leaf_parser(words):
+@functools.cache
+def _leaf_parser(words: tuple):
     """The parser of the leaf that `words` name, alone, as build_parser
-    builds it; None if they name no leaf."""
+    builds it; None if they name no leaf.  It is built once per process
+    and holds no handler: main looks the handler up when it runs it."""
     node = COMMANDS
     for word in words:
         node = node.get(word) if isinstance(node, dict) else None
     if not isinstance(node, list):
         return None
-    return _add_leaf(_Parser(prog=" ".join(["trideck", *words])), words,
-                     node)
+    return _add_leaf(_Parser(prog=" ".join(["trideck", *words])), node)
 
 
 def _parse(argv):
@@ -428,7 +412,7 @@ def _parse(argv):
     hold words the leaf does not know go to the full parser, so that every
     message is the one it gives."""
     depth = 2 if argv and isinstance(COMMANDS.get(argv[0]), dict) else 1
-    parser = _leaf_parser(argv[:depth])
+    parser = _leaf_parser(tuple(argv[:depth]))
     if parser is not None:
         names = dict(zip(("command", "subcommand"), argv[:depth]))
         args, unknown = parser.parse_known_args(argv[depth:],
@@ -438,80 +422,22 @@ def _parse(argv):
     return build_parser().parse_args(argv)
 
 
-def _words(args) -> list:
-    """The words that named the command args ran, e.g. ["rline", "norms"]."""
-    return [s for s in (args.command, getattr(args, "subcommand", None))
-            if s]
+def _words(args) -> tuple:
+    """The words that named the command args ran, e.g. ("rline", "norms")."""
+    return tuple(s for s in (args.command, getattr(args, "subcommand", None))
+                 if s)
 
 
-# the JSON text of a str, int, bool or None, looked up by exact type (so
-# that a subclass, say a numpy float, goes through the encoder)
-_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__,
-                bool: {True: "true", False: "false"}.__getitem__,
-                type(None): lambda _: "null"}
-_SCALARS = frozenset((*_SCALAR_TEXT, float))
-
-
-@functools.cache
-def _encoder(depth: int):
-    """json's C encoder (no indent, keys sorted) whose item separator starts
-    a line at the indent of `depth`; called as _encoder(depth)(obj, 0), it
-    returns the text of obj in chunks.  It keeps no circular-reference
-    markers, so it is for scalars and containers of scalars alone."""
-    return c_make_encoder(None, json.JSONEncoder().default,
-                          encode_basestring_ascii, None, ": ",
-                          ",\n" + "  " * depth, True, False, True)
-
-
-def _dumps(obj, depth: int = 0) -> str:
-    """The text of json.dumps(obj, indent=2, sort_keys=True) at `depth`.
-
-    json.dumps runs its pure-Python encoder whenever indent is set.  Here a
-    list or dict of str, int, float, bool and None alone is encoded in one
-    call to the C encoder, whose item separator already holds the newline
-    and indent; only the containers above those are walked in Python, and
-    a str, int, bool or None in them is written from a table."""
-    text = _SCALAR_TEXT.get(type(obj))
-    if text is not None:
-        return text(obj)
-    if not isinstance(obj, (list, tuple, dict)) or not obj:
-        return "".join(_encoder(depth)(obj, 0))
-    sep = ",\n" + "  " * (depth + 1)
-    is_dict = isinstance(obj, dict)
-    if _SCALARS.issuperset(map(type, obj.values() if is_dict else obj)):
-        body = "".join(_encoder(depth + 1)(obj, 0))[1:-1]
-    elif is_dict:
-        body = sep.join([_key(k) + ": " + _dumps(v, depth + 1)
-                         for k, v in sorted(obj.items())])
-    else:
-        body = sep.join([_dumps(v, depth + 1) for v in obj])
-    open_, close = "{}" if is_dict else "[]"
-    return f"{open_}{sep[1:]}{body}\n{'  ' * depth}{close}"
-
-
-def _key(key) -> str:
-    """A dict key as json writes it: the JSON string of a str, or of the
-    JSON text of an int, float, bool or None."""
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if key is None or isinstance(key, (int, float)):
-        return encode_basestring_ascii("".join(_encoder(0)(key, 0)))
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {type(key).__name__}")
-
-
-def _manifest(args, t0: float, outputs: list) -> RunManifest:
-    params = {k: v for k, v in vars(args).items()
-              if k not in ("func", "out") and not callable(v)}
-    return RunManifest(
-        command=" ".join(_words(args)),
-        parameters=params,
-        seed=getattr(args, "seed", None),
-        versions={"trideck": __version__, "numpy": np.__version__,
-                  "python": platform.python_version()},
-        wall_time=round(time.monotonic() - t0, 4),
-        output_paths=outputs,
-    )
+def _manifest(args, t0: float, outputs: list) -> dict:
+    return {
+        "command": " ".join(_words(args)),
+        "parameters": {k: v for k, v in vars(args).items() if k != "out"},
+        "seed": getattr(args, "seed", None),
+        "versions": {"trideck": __version__, "numpy": np.__version__,
+                     "python": platform.python_version()},
+        "wall_time": round(time.monotonic() - t0, 4),
+        "output_paths": outputs,
+    }
 
 
 def main(argv=None) -> int:
@@ -519,7 +445,8 @@ def main(argv=None) -> int:
     try:
         args = _parse(argv)
         t0 = time.monotonic()
-        result, text = args.func(args)
+        # looked up now, so that a rebound _cmd_* is the one run
+        result = globals()["_cmd_" + "_".join(_words(args))](args)
     except _UsageError as e:
         print(str(e), file=sys.stderr)
         return EXIT_USAGE
@@ -530,21 +457,18 @@ def main(argv=None) -> int:
         print(f"trideck: error: {e}", file=sys.stderr)
         return EXIT_DOMAIN
 
-    payload = text if text is not None else _dumps(result) + "\n"
-    outputs = []
+    text = result if isinstance(result, str) else \
+        json.dumps(result, indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(payload)
-        outputs.append(args.out)
-        manifest = _manifest(args, t0, outputs)
-        mpath = args.out + ".manifest.json"
-        with open(mpath, "w") as fh:
-            fh.write(_dumps(manifest.to_json_dict()))
+            fh.write(text)
+        with open(args.out + ".manifest.json", "w") as fh:
+            json.dump(_manifest(args, t0, [args.out]), fh, indent=2,
+                      sort_keys=True)
         print(f"wrote {args.out} (+ manifest)", file=sys.stderr)
     else:
-        sys.stdout.write(payload)
-        manifest = _manifest(args, t0, outputs)
-        print(json.dumps(manifest.to_json_dict(), sort_keys=True),
+        sys.stdout.write(text)
+        print(json.dumps(_manifest(args, t0, []), sort_keys=True),
               file=sys.stderr)
     return EXIT_OK
 

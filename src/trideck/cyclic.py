@@ -338,9 +338,9 @@ class Bispectrum:
         return complex(self.values[l1 % self.n, l2 % self.n])
 
     def to_json_dict(self) -> dict:
+        v = self.values.reshape(-1)
         return {"n": self.n, "convention": "positive-exponent",
-                "values": [[float(v.real), float(v.imag)]
-                           for v in self.values.reshape(-1)]}
+                "values": np.stack((v.real, v.imag), axis=1).tolist()}
 
 
 def dft(f: CyclicFunction) -> Spectrum:

@@ -262,14 +262,15 @@ class TestLeafParser:
     ])
     def test_same_outcome_as_full_parser(self, monkeypatch, argv):
         lazy = _outcome(argv)
+        assert _outcome(argv) == lazy  # the leaf parser, cached, again
         monkeypatch.setattr(cli, "_parse",
                             lambda a: cli.build_parser().parse_args(a))
         assert _outcome(argv) == lazy
 
-    def test_handlers_are_read_when_the_leaf_is_built(self, monkeypatch):
-        def traced(args):
-            return {"traced": args.n}, None
-        monkeypatch.setattr(cli, "_cmd_sweep", traced)
+    def test_handlers_are_read_when_they_run(self, monkeypatch):
+        _outcome(["sweep", "--n", "8"])  # builds and caches the leaf parser
+        monkeypatch.setattr(cli, "_cmd_sweep",
+                            lambda args: {"traced": args.n})
         assert _outcome(["sweep", "--n", "8"])[1] == \
             '{\n  "traced": 8\n}\n'
 
@@ -381,92 +382,77 @@ class TestSubcommands:
         assert res["deviations"][0][1] == pytest.approx(0.1, abs=2 / 256)
 
 
-def _json_values(keys):
-    return st.recursive(
-        st.one_of(st.none(), st.booleans(), st.integers(),
-                  st.floats(allow_nan=True, allow_infinity=True),
-                  st.sampled_from([-0.0, float("nan"), float("-inf")]),
-                  st.text()),
-        lambda inner: st.one_of(
-            st.lists(inner, max_size=4),
-            st.lists(inner, max_size=4).map(tuple),
-            st.dictionaries(keys, inner, max_size=4)),
-        max_leaves=20)
+def _every_command(tmp_path):
+    """One argv for each leaf of the command tree."""
+    g = str(tmp_path / "g.csv")
+    trideck.SampledFunction(1 / 64, 0.0, np.ones(64)).save_csv(g)
+    spec = json.dumps({"intervals": [["0", "1"], ["3/2", "2"]]})
+    pair = ["--k", "3", "--h", "1/64", "--half-width", "16",
+            "--tail-tol", "0.05", "--stride", "16"]
+    runs = {
+        ("deck",): ["--n", "6", "--values", "1/2,1,0,3,1,2"],
+        ("bispectrum",): ["--n", "5", "--set", "0,1"],
+        ("reconstruct",): ["--values", "1,2,3,1,5,1,1,2"],
+        ("zeros",): ["--n", "9", "--set", "0,1,2"],
+        ("classify",): ["--n", "9", "--set", "0,1,2"],
+        ("sweep",): ["--n", "8"],
+        ("gm",): ["--p", "2", "--q", "3", "--r", "3"],
+        ("survey",): ["--n", "10"],
+        ("allk",): ["--n", "18", "--set", "0,1,3,4,5,6,7,8,11",
+                    "--other", "0,7,10,11,12,13,14,15,17"],
+        ("intervals", "deck"): ["--set", spec, "--x", "1/4", "--y", "1/2"],
+        ("intervals", "gaps"): ["--set", spec],
+        ("intervals", "ddx"): ["--set", spec, "--x=-1/4", "--y", "1/8"],
+        ("intervals", "translate"): ["--set", spec, "--other", spec],
+        ("rline", "cospair"): pair,
+        ("rline", "riesz"): ["--signs", "1,-1", "--amps", "1/2,1/4", *pair],
+        ("rline", "stability"): ["--in", g],
+        ("rline", "norms"): ["--draws", "3"],
+        ("rline", "continuity"): ["--radii", "0.1,0.05"],
+    }
+    assert sorted(runs) == sorted(tuple(w) for w in _leaves())
+    return [[*words, *rest] for words, rest in runs.items()]
 
 
-# Keys of one kind per strategy, and a mix whose sort may raise TypeError.
-_JSON_KEYS = st.sampled_from([
-    st.text(), st.sampled_from(["\u00e9", "\u2603", "a\"b", "\\", "\n",
-                                "\x00", "\ud800", "\U0001f600"]),
-    st.integers(), st.floats(), st.booleans(),
-    st.one_of(st.none(), st.integers(-2, 2), st.text(max_size=1))])
+# Runs main on each argv of a JSON list with json's C accelerator blocked,
+# and prints the JSON list of [exit code, stdout] pairs.
+_WITHOUT_ACCELERATOR = """
+import contextlib, io, sys
+sys.modules["_json"] = None
+import json
+from trideck import cli
+assert json.encoder.c_make_encoder is None
+done = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    done.append([code, out.getvalue()])
+print(json.dumps(done))
+"""
 
 
 class TestJsonWriter:
-    """cli._dumps writes what json.dumps(x, indent=2, sort_keys=True)
-    writes, or raises the same exception type."""
-
-    @staticmethod
-    def _assert_same(x):
-        try:
-            want = json.dumps(x, indent=2, sort_keys=True)
-        except TypeError:
-            with pytest.raises(TypeError):
-                cli._dumps(x)
-        else:
-            assert cli._dumps(x) == want
-
-    @given(_JSON_KEYS.flatmap(_json_values))
-    @settings(max_examples=400, deadline=None)
-    def test_matches_json_dumps(self, x):
-        self._assert_same(x)
-
-    @pytest.mark.parametrize("x", [
-        {}, [], (), {"a": []}, {"a": {}}, [[]], [{}, [], ()],
-        {"b": [1, [2, {"c": ()}]], "a": None}, [np.float64(1.5), 2],
-        {1: "int", 2.5: "float"}, {None: [1]}, {True: {"x": [1]}},
-        {(1, 2): 0}, {(1, 2): [1]}, [{1, 2}], {"a": [object()]},
-        {1: 0, "a": 0}, {1: [0], "a": [0]}])
-    def test_edge_cases(self, x):
-        self._assert_same(x)
+    """main prints a result dict as json.dumps(result, indent=2,
+    sort_keys=True) text, and the deck and report texts are those bytes."""
 
     def test_every_command(self, tmp_path):
-        g = str(tmp_path / "g.csv")
-        trideck.SampledFunction(1 / 64, 0.0, np.ones(64)).save_csv(g)
-        spec = json.dumps({"intervals": [["0", "1"], ["3/2", "2"]]})
-        pair = ["--k", "3", "--h", "1/64", "--half-width", "16",
-                "--tail-tol", "0.05", "--stride", "16"]
-        runs = {
-            ("deck",): ["--n", "6", "--values", "1/2,1,0,3,1,2"],
-            ("bispectrum",): ["--n", "5", "--set", "0,1"],
-            ("reconstruct",): ["--values", "1,2,3,1,5,1,1,2"],
-            ("zeros",): ["--n", "9", "--set", "0,1,2"],
-            ("classify",): ["--n", "9", "--set", "0,1,2"],
-            ("sweep",): ["--n", "8"],
-            ("gm",): ["--p", "2", "--q", "3", "--r", "3"],
-            ("survey",): ["--n", "10"],
-            ("allk",): ["--n", "18", "--set", "0,1,3,4,5,6,7,8,11",
-                        "--other", "0,7,10,11,12,13,14,15,17"],
-            ("intervals", "deck"): ["--set", spec, "--x", "1/4",
-                                    "--y", "1/2"],
-            ("intervals", "gaps"): ["--set", spec],
-            ("intervals", "ddx"): ["--set", spec, "--x=-1/4", "--y", "1/8"],
-            ("intervals", "translate"): ["--set", spec, "--other", spec],
-            ("rline", "cospair"): pair,
-            ("rline", "riesz"): ["--signs", "1,-1", "--amps", "1/2,1/4",
-                                 *pair],
-            ("rline", "stability"): ["--in", g],
-            ("rline", "norms"): ["--draws", "3"],
-            ("rline", "continuity"): ["--radii", "0.1,0.05"],
-        }
-        assert sorted(runs) == sorted(tuple(w) for w in _leaves())
-        for words, rest in runs.items():
-            args = cli._parse([*words, *rest])
-            result, text = args.func(args)
-            if text is not None:  # deck and reconstruct print their text
-                result = json.loads(text)
-                assert cli._dumps(result) + "\n" == text
-            self._assert_same(result)
+        for argv in _every_command(tmp_path):
+            code, out, _ = _run_quiet(argv)
+            assert code == EXIT_OK, argv
+            assert out == json.dumps(json.loads(out), indent=2,
+                                     sort_keys=True) + "\n", argv
+
+    def test_every_command_without_the_c_accelerator(self, tmp_path):
+        argvs = _every_command(tmp_path)
+        src = os.path.dirname(os.path.dirname(trideck.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", _WITHOUT_ACCELERATOR, json.dumps(argvs)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [
+            [EXIT_OK, _run_quiet(argv)[1]] for argv in argvs]
 
 
 class TestArtifacts:
