@@ -259,6 +259,8 @@ def _random_step(rng, h: float, length: int) -> SampledFunction:
 
 
 def _cmd_rline_norms(args):
+    if args.draws < 1:
+        raise DomainError(f"--draws must be >= 1, got {args.draws}")
     rng = np.random.Generator(np.random.Philox(args.seed))
     h, length = 1 / 64, 128
     configs = [("1", ("1", "1", "1")),

@@ -75,22 +75,19 @@ class GridDeck:
     values: np.ndarray  # shape (len(offsets), len(offsets))
 
 
-def _shifted(values: np.ndarray, off: int) -> np.ndarray:
-    out = np.zeros_like(values)
-    if off >= 0:
-        if off < len(values):
-            out[: len(values) - off] = values[off:]
-    else:
-        if -off < len(values):
-            out[-off:] = values[: len(values) + off]
-    return out
-
-
-def _shift_stack(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    S = np.zeros((len(offsets), len(values)))
-    for a, off in enumerate(offsets):
-        S[a] = _shifted(values, int(off))
-    return S
+def _shift_windows(v: np.ndarray, offsets: np.ndarray,
+                   width: int) -> tuple[np.ndarray, np.ndarray]:
+    """A read-only view W over one zero-padded copy of v, and a row per
+    offset: W[rows[a] + s, j] = v[s + j + offsets[a]], zero off v, for
+    s + j < len(v).  A shift by len(v) or more bins reads only zeros, so
+    the padding is at most len(v) on each side and such offsets are
+    clipped to it."""
+    L = len(v)
+    pad = min(int(np.max(np.abs(offsets), initial=0)), L)
+    padded = np.zeros(L + 2 * pad + width)
+    padded[pad:pad + L] = v
+    windows = np.lib.stride_tricks.sliding_window_view(padded, width)
+    return windows, np.clip(offsets, -pad, pad) + pad
 
 
 def three_deck_grid(f: SampledFunction, max_offset: Optional[int] = None,
@@ -100,21 +97,20 @@ def three_deck_grid(f: SampledFunction, max_offset: Optional[int] = None,
     full support width).
 
     The sum over t runs in blocks of _GRID_BLOCK samples, so each block's
-    shift rows S[a, s] = f_{t+s+offsets[a]} stay in cache; they are windows
-    of one zero-padded copy of the values.  A shift by L or more bins reads
-    only zeros, so the padding is at most L on each side."""
+    shift rows S[a, s] = f_{t+s+offsets[a]} stay in cache; they are
+    _shift_windows rows."""
+    if stride < 1:
+        raise DomainError(f"grid deck stride must be >= 1, got {stride}")
     v = f.values
     L = len(v)
     m = L - 1 if max_offset is None else int(max_offset)
-    offsets = np.arange(-m, m + 1, stride)
-    cost = len(offsets) ** 2 * L
+    if m < 0:
+        raise DomainError(f"grid deck max_offset must be >= 0, got {m}")
+    cost = len(range(-m, m + 1, stride)) ** 2 * L  # charged before allocated
     if cost > compute_budget(budget):
         raise BudgetError(f"grid deck cost {cost} exceeds budget")
-    pad = min(max(m, 0), L)
-    padded = np.zeros(L + 2 * pad + _GRID_BLOCK)
-    padded[pad:pad + L] = v
-    windows = np.lib.stride_tricks.sliding_window_view(padded, _GRID_BLOCK)
-    rows = np.clip(offsets, -pad, pad) + pad
+    offsets = np.arange(-m, m + 1, stride)
+    windows, rows = _shift_windows(v, offsets, _GRID_BLOCK)
     N = np.zeros((len(offsets), len(offsets)))
     for t in range(0, L, _GRID_BLOCK):
         w = v[t:t + _GRID_BLOCK]
@@ -125,9 +121,14 @@ def three_deck_grid(f: SampledFunction, max_offset: Optional[int] = None,
 
 def deck_at(f: SampledFunction, bins: Sequence[int]) -> float:
     """N_f at a single offset tuple (any deck order), bins in grid units."""
-    prod = f.values.copy()
-    for off in bins:
-        prod *= _shifted(f.values, int(off))
+    v = f.values
+    L = len(v)
+    # a shift by L or more reads zeros; clipped first, every bin fits int64
+    clipped = np.array([min(max(int(b), -L), L) for b in bins], dtype=int)
+    windows, rows = _shift_windows(v, clipped, L)
+    prod = v.copy()
+    for r in rows:
+        prod *= windows[r]
     return float(f.h * np.sum(prod))
 
 
@@ -143,13 +144,11 @@ def _psi(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grid(h: float, half_width: float) -> tuple[np.ndarray, float]:
-    n = int(round(2 * half_width / h))
-    x = -half_width + h * np.arange(n + 1)
-    return x, -half_width
-
-
 def _check_tail(half_width: float, tail_tol: float) -> None:
+    if not (math.isfinite(half_width) and half_width > 0):
+        raise DomainError("grid half-width must be positive and finite")
+    if not tail_tol > 0:  # NaN fails too
+        raise DomainError("tail tolerance must be positive")
     # psi <= 1/(pi x)^2, sup of the trig factors is 2.
     bound = 4.0 / (np.pi**2 * half_width)
     if bound > tail_tol:
@@ -169,14 +168,7 @@ def cos_pair(k: int, h: float = 1 / 256, half_width: float = 64.0,
     summation): the only error left is the truncation at +-half_width, which
     does not depend on h.
     """
-    if k < 3:
-        raise DomainError(f"deck order must be >= 3, got {k}")
-    _check_tail(half_width, tail_tol)
-    x, origin = _grid(h, half_width)
-    psi = _psi(x)
-    c = np.cos((k + 1) * np.pi * x)
-    return (SampledFunction(h, origin, (1 + c) * psi),
-            SampledFunction(h, origin, (1 - c) * psi))
+    return riesz_pair([-1], [1], k, h, half_width, tail_tol)
 
 
 def riesz_pair(signs: Sequence[int], amplitudes: Sequence[float], k: int,
@@ -199,15 +191,15 @@ def riesz_pair(signs: Sequence[int], amplitudes: Sequence[float], k: int,
             b > a for a, b in zip(amps, amps[1:])):
         raise DomainError("amplitudes must be in (0,1] and nonincreasing")
     _check_tail(half_width, tail_tol)
-    x, origin = _grid(h, half_width)
+    x = -half_width + h * np.arange(int(round(2 * half_width / h)) + 1)
     psi = _psi(x)
     fvals, gvals = psi.copy(), psi.copy()
     for i, (eps, a) in enumerate(zip(signs, amps), start=1):
         c = a * np.cos((k + 1) ** i * np.pi * x)
         fvals *= 1 + c
         gvals *= 1 + eps * c
-    return (SampledFunction(h, origin, fvals),
-            SampledFunction(h, origin, gvals))
+    return (SampledFunction(h, -half_width, fvals),
+            SampledFunction(h, -half_width, gvals))
 
 
 def _smooth_size(n: int) -> int:
@@ -309,9 +301,10 @@ def correlation_tensor(fs: Sequence[SampledFunction],
     offsets = np.arange(-(L - 1), L)
     if len(offsets) ** k * L > compute_budget(budget):
         raise BudgetError("correlation tensor exceeds budget")
-    stacks = [_shift_stack(f.values, -offsets) for f in fs[1:]]
+    stacks = [windows[rows] for windows, rows in
+              (_shift_windows(f.values, -offsets, L) for f in fs[1:])]
     subs = {1: "t,at->a", 2: "t,at,bt->ab", 3: "t,at,bt,ct->abc"}[k]
-    return h * np.einsum(subs, fs[0].values, *stacks)
+    return h * np.einsum(subs, fs[0].values, *stacks, optimize=True)
 
 
 def norm_inequality_test(fs: Sequence[SampledFunction], r, ps,
@@ -351,6 +344,8 @@ def continuity_probe(f: SampledFunction, k: int,
     """
     if k < 1:
         raise DomainError("k must be >= 1")
+    if not all(rho >= 0 for rho in radii):  # NaN fails too
+        raise DomainError("probe radii must be nonnegative")
     limit = f.riemann(k + 1)
     # each probe value is at most the limit, by Holder's inequality
     if not math.isfinite(limit):

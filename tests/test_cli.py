@@ -57,6 +57,24 @@ _HUGE_RATIONALS = [
     (["rline", "continuity", "--radii", "1e999"], "--radii"),
     (["rline", "continuity", "--h", "1e999"], "--h"),
 ]
+_BAD_GRIDS = [
+    (["--stride", "0"], "grid deck stride must be >= 1, got 0"),
+    (["--stride=-1"], "grid deck stride must be >= 1, got -1"),
+    (["--max-x=-1"], "grid deck max_offset must be >= 0, got -256"),
+]
+_EXTENT = "grid half-width must be positive and finite"
+_BAD_EXTENTS = [
+    (["--half-width", "0"], _EXTENT),
+    (["--half-width=-5"], _EXTENT),
+    (["--half-width", "nan"], _EXTENT),
+    (["--tail-tol", "nan"], "tail tolerance must be positive"),
+    (["--tail-tol", "0"], "tail tolerance must be positive"),
+]
+_EMPTY_EXPERIMENTS = [
+    (["continuity", "--radii=-0.2,0.1"], "probe radii must be nonnegative"),
+    (["norms", "--draws", "0"], "--draws must be >= 1, got 0"),
+    (["norms", "--draws=-3"], "--draws must be >= 1, got -3"),
+]
 # Every option that takes a rational, after the words its command needs.
 _RATIONAL_OPTIONS = [
     (["deck", "--k", "2"], "--values"),
@@ -215,6 +233,38 @@ class TestExitCodes:
         code, out, err = run(capsys, "rline", *pair, *grid)
         assert code == EXIT_BUDGET and out == ""
         assert err.startswith("trideck: budget refusal: grid of ")
+
+    # Grid arguments out of range fail with their own message: a stride of
+    # 0 raised ZeroDivisionError, and a negative stride or window reduced an
+    # empty deck.
+    @pytest.mark.parametrize("argv, msg", _BAD_GRIDS,
+                             ids=[" ".join(c[0]) for c in _BAD_GRIDS])
+    def test_grid_arguments_in_range(self, capsys, argv, msg):
+        code, out, err = run(capsys, "rline", "cospair", *argv)
+        assert code == EXIT_DOMAIN and out == ""
+        assert err == f"trideck: error: {msg}\n"
+
+    # A grid extent that is not positive and finite, or a tail tolerance
+    # that is not positive, is refused by both pairs: --tail-tol nan skipped
+    # the truncation check and exited 0.
+    @pytest.mark.parametrize("pair", [
+        ["cospair"], ["riesz", "--signs", "1,-1", "--amps", "1/2,1/4"]],
+        ids=["cospair", "riesz"])
+    @pytest.mark.parametrize("argv, msg", _BAD_EXTENTS,
+                             ids=[" ".join(c[0]) for c in _BAD_EXTENTS])
+    def test_pair_extent_is_checked(self, capsys, pair, argv, msg):
+        code, out, err = run(capsys, "rline", *pair, *argv)
+        assert code == EXIT_DOMAIN and out == ""
+        assert err == f"trideck: error: {msg}\n"
+
+    # Neither experiment runs empty: a negative radius was probed at the
+    # origin, and no draws printed "worst_ratio": 0.0; both exited 0.
+    @pytest.mark.parametrize("argv, msg", _EMPTY_EXPERIMENTS,
+                             ids=[" ".join(c[0]) for c in _EMPTY_EXPERIMENTS])
+    def test_no_empty_experiment(self, capsys, argv, msg):
+        code, out, err = run(capsys, "rline", *argv)
+        assert code == EXIT_DOMAIN and out == ""
+        assert err == f"trideck: error: {msg}\n"
 
 
 def _leaves(tree=cli.COMMANDS, words=()):

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -6,13 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trideck as td
-from trideck.errors import DomainError, InvalidExponentsError
-from trideck.realline import _GRID_BLOCK, _psi, _shift_stack
+from trideck.errors import BudgetError, DomainError, InvalidExponentsError
+from trideck.realline import _GRID_BLOCK, _psi, correlation_tensor
 
 
 def random_grids(length=96, h=1 / 32):
     return st.lists(st.integers(0, 100), min_size=length, max_size=length) \
         .map(lambda xs: td.SampledFunction(h, 0.0, np.array(xs) / 25.0))
+
+
+def _shift_stack(values, offsets):
+    """S[a, t] = values[t + offsets[a]], zero off the grid: one zero-filled
+    copy per offset."""
+    L = len(values)
+    S = np.zeros((len(offsets), L))
+    for a, off in enumerate(offsets):
+        lo, hi = max(0, -off), min(L, L - off)
+        if lo < hi:
+            S[a, lo:hi] = values[lo + off:hi + off]
+    return S
 
 
 def _direct_shift_scan(fv, gv):
@@ -111,6 +124,34 @@ class TestGridDecks:
         j = list(deck.offsets).index(-3)
         assert td.deck_at(f, (2, -3)) == pytest.approx(deck.values[i, j])
 
+    def test_deck_at_far_shifts_read_zeros(self):
+        # shifts of len(v) bins or more read zeros from a padding of at most
+        # len(v) on each side, not from a grid as wide as the shift
+        f = td.SampledFunction(1 / 16, 0.0, np.arange(1.0, 9.0))
+        tracemalloc.start()
+        try:
+            for bins in [(8,), (-8,), (10**12,), (-10**12,), (1, 10**12),
+                         (-3, 8, 2), (10**30,), (-(10**30), 1)]:
+                assert td.deck_at(f, bins) == 0.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**5
+        assert td.deck_at(f, (7,)) == f.h * 1.0 * 8.0
+
+    @pytest.mark.parametrize("kwargs", [
+        {"stride": 0}, {"stride": -1}, {"max_offset": -2}])
+    def test_grid_arguments_in_range(self, kwargs):
+        f = td.SampledFunction(1 / 16, 0.0, np.arange(8.0))
+        with pytest.raises(DomainError):
+            td.three_deck_grid(f, **kwargs)
+
+    def test_grid_window_charged_before_allocated(self):
+        # 2 * 10**15 offsets would need 16 PB: refused, not allocated
+        f = td.SampledFunction(1 / 16, 0.0, np.arange(8.0))
+        with pytest.raises(BudgetError):
+            td.three_deck_grid(f, max_offset=10**15, budget=10**6)
+
 
 class TestCounterexamplePairs:
     def test_psi_removable_singularity(self):
@@ -132,11 +173,25 @@ class TestCounterexamplePairs:
         f, g = td.cos_pair(3, h=1 / 64, half_width=32.0, tail_tol=0.05)
         assert td.shift_scan_distance(f, g) > 0.05
 
+    @pytest.mark.parametrize("k", [3, 4, 5, 7])
+    @pytest.mark.parametrize("h", [1 / 256, 1 / 64, 0.01])
+    def test_cos_pair_is_one_factor_riesz(self, k, h):
+        pairs = td.cos_pair(k, h), td.riesz_pair([-1], [1], k, h)
+        for f, g in zip(*pairs):
+            assert (f.h, f.origin) == (g.h, g.origin)
+            assert f.values.tobytes() == g.values.tobytes()
+
     def test_cos_pair_validation(self):
         with pytest.raises(DomainError):
             td.cos_pair(2)
         with pytest.raises(DomainError):
             td.cos_pair(3, half_width=4.0, tail_tol=1e-3)
+        for half_width in (0.0, -5.0, np.nan, np.inf):
+            with pytest.raises(DomainError, match="half-width"):
+                td.cos_pair(3, half_width=half_width)
+        for tail_tol in (0.0, -1.0, np.nan):
+            with pytest.raises(DomainError, match="tail tolerance"):
+                td.cos_pair(3, tail_tol=tail_tol)
 
     def test_riesz_pair_decks_agree(self):
         f, g = td.riesz_pair([1, -1], [0.5, 0.25], 3, tail_tol=0.05,
@@ -216,6 +271,25 @@ class TestNormInequality:
         # 1 + 2/(3/2) = 7/3 = 3 * (7/9): exact rational check must accept
         td.norm_inequality_test([f, f, f], "3/2", ("9/7", "9/7", "9/7"))
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("L", [3, 4])
+    def test_correlation_tensor_direct(self, k, L):
+        # N(x_1..x_k) = h sum_t f_0(t) prod_j f_j(t - x_j), zero off the grid
+        rng = np.random.default_rng(10 * k + L)
+        fs = [td.SampledFunction(0.5, 0.0, rng.random(L)) for _ in range(k + 1)]
+        offsets = range(-(L - 1), L)
+        want = np.zeros((2 * L - 1,) * k)
+        for idx in np.ndindex(want.shape):
+            xs = [offsets[i] for i in idx]
+            for t in range(L):
+                term = fs[0].values[t]
+                for f, x in zip(fs[1:], xs):
+                    term *= f.values[t - x] if 0 <= t - x < L else 0.0
+                want[idx] += 0.5 * term
+        got = correlation_tensor(fs)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
+
     @given(st.lists(random_grids(length=48), min_size=3, max_size=3))
     @settings(max_examples=60, deadline=None)
     def test_never_violated(self, fs):
@@ -230,6 +304,12 @@ class TestContinuity:
         h = f.h
         for rho, dev in td.continuity_probe(f, 2, [0.2, 0.1, 0.05, 0.025]):
             assert abs(dev - rho) <= 2 * h, rho
+
+    def test_negative_radius_is_refused(self):
+        f = td.SampledFunction(1 / 64, 0.0, np.ones(64))
+        for radii in ([-0.2, 0.1], [np.nan]):
+            with pytest.raises(DomainError, match="nonnegative"):
+                td.continuity_probe(f, 2, radii)
 
     def test_zero_radius(self):
         f = td.SampledFunction(1 / 64, 0.0, np.ones(64))
