@@ -28,6 +28,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .config import compute_budget
+from .cyclotomic import _as_fraction, _cleared
 from .errors import BudgetError, DomainError, ShapeMismatchError
 
 MAX_DECK_ORDER = 6  # decks for k > 6 are out of scope
@@ -35,18 +36,6 @@ MAX_DECK_ORDER = 6  # decks for k > 6 are out of scope
 _FLOAT64_EXACT = 2**53  # every integer of magnitude up to this is a double
 _INT64_SAFE = 2**62
 _GCD_CHUNK = 2**12  # entries per step of the lowest-terms gcd
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return Fraction(int(x))
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x).limit_denominator(10**12)
-    raise DomainError(f"cannot interpret {x!r} as a rational value")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -69,13 +58,11 @@ class CyclicFunction:
                 f"expected {self.n} values, got {len(self.values)}")
 
     @classmethod
-    def of(cls, values: Iterable, n: Optional[int] = None) -> "CyclicFunction":
+    def of(cls, values: Iterable) -> "CyclicFunction":
         vals = tuple(_as_fraction(v) for v in values)
-        if n is None:
-            n = len(vals)
         if any(v < 0 for v in vals):
             raise DomainError("values must be nonnegative")
-        return cls(n, vals)
+        return cls(len(vals), vals)
 
     @classmethod
     def indicator(cls, n: int, subset: Iterable[int]) -> "CyclicFunction":
@@ -212,29 +199,30 @@ class KDeck:
             return v / d  # both operands exact in float64: one rounding
         return (v.astype(object) / d).astype(np.float64)  # int / int
 
-    def _entries(self, flat: np.ndarray, fmt=None, quote="") -> list:
+    def _entries(self, flat: np.ndarray, quote=None) -> list:
         """The entries of flat, an int or "p/q" per exact entry, in its own
-        lowest terms, and a float per float entry: as JSON scalars when fmt
-        is None, else as text, fmt(t) per float entry and p/q wrapped in
-        quote per exact one.  Each distinct exact value is reduced and
-        formatted once and indexed back into place."""
+        lowest terms, and a float per float entry: as JSON scalars when
+        quote is None, else as text, with p/q wrapped in quote.  A float's
+        text is str(t), which is json.dumps' text for a finite float.  Each
+        distinct exact value is reduced and formatted once and indexed back
+        into place."""
         if not self.exact:  # np.unique would merge -0.0 into 0.0
-            return flat.tolist() if fmt is None \
-                else [fmt(t) for t in flat.tolist()]
+            return flat.tolist() if quote is None \
+                else list(map(str, flat.tolist()))
         u, inverse = np.unique(flat, return_inverse=True)
         d = self.denominator
         if u.dtype != object and d >= _INT64_SAFE:
             u = u.astype(object)
         g = np.gcd(u, d)
         pairs = zip((u // g).tolist(), (d // g).tolist())
-        if fmt is None:
+        if quote is None:
             tokens = [a if b == 1 else f"{a}/{b}" for a, b in pairs]
         else:
             tokens = [str(a) if b == 1 else f"{quote}{a}/{b}{quote}"
                       for a, b in pairs]
         return np.array(tokens, dtype=object)[inverse].tolist()
 
-    def _rows(self, sep: str, fmt, quote="") -> list[str]:
+    def _rows(self, sep: str, quote: str) -> list[str]:
         """The text of each row (the last axis) in row-major order: its n
         entries as _entries formats them, joined by sep.
 
@@ -259,7 +247,7 @@ class KDeck:
             source = _sorted_index(n, r)
             own = source == np.arange(n ** r)
             rows = rows[own]
-        flat = self._entries(rows.reshape(-1), fmt, quote)
+        flat = self._entries(rows.reshape(-1), quote)
         texts = [sep.join(flat[i:i + n]) for i in range(0, len(flat), n)]
         if not shared:
             return texts
@@ -280,7 +268,7 @@ class KDeck:
         # head ends in "\n}", and "values" sorts after the header's keys;
         # an exact token, str(a) or "a/b", is json.dumps' text for it
         head = json.dumps(self._header(), indent=2, sort_keys=True)
-        rows = self._rows(",\n    ", json.dumps, quote='"')
+        rows = self._rows(",\n    ", '"')
         rows[0] = f'{head[:-2]},\n  "values": [\n    {rows[0]}'
         rows[-1] += "\n  ]\n}\n"
         return ",\n    ".join(rows)
@@ -311,9 +299,7 @@ class KDeck:
         try:
             if any(issubclass(t, str) for t in kinds) or all(
                     issubclass(t, int) for t in kinds):
-                fr = [_as_fraction(v) for v in raw]
-                den = math.lcm(*(x.denominator for x in fr))
-                ints = [x.numerator * (den // x.denominator) for x in fr]
+                ints, den = _cleared([_as_fraction(v) for v in raw])
                 small = max(map(abs, ints)) < _INT64_SAFE
                 arr = np.array(ints, dtype=np.int64 if small else object)
                 return cls(n, k, arr.reshape(shape), den)
@@ -323,7 +309,7 @@ class KDeck:
 
     def to_csv(self) -> str:
         head = f"# n={self.n},k={self.k},convention=positive-exponent"
-        return "\n".join([head, *self._rows(",", str), ""])
+        return "\n".join([head, *self._rows(",", ""), ""])
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -404,8 +390,7 @@ def k_deck(f: CyclicFunction, k: int, budget: Optional[int] = None) -> KDeck:
     n = f.n
     if n**k > compute_budget(budget):
         raise BudgetError(f"k_deck size n^k = {n}^{k} exceeds budget")
-    denom = math.lcm(*(v.denominator for v in f.values))
-    ints = [v.numerator * (denom // v.denominator) for v in f.values]
+    ints, denom = _cleared(f.values)
     bound = n * max(max(map(abs, ints)), 1) ** k
     if bound < _FLOAT64_EXACT:
         core = _deck_int64(np.array(ints, dtype=np.float64), n, k)

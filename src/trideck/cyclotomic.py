@@ -3,13 +3,15 @@
 chi_E_hat(l) = P_E(zeta^l) with P_E(x) = sum_{j in E} x^j, so the spectrum
 vanishes at l != 0 exactly when Phi_{n/gcd(n,l)} divides P_E over Z.  Zero
 detection is always done this way, never by floating thresholds: a false
-zero/nonzero would flip the structural classification downstream.
+zero/nonzero would flip the structural classification downstream.  The
+module also parses rationals, clears denominators and tests n = pq.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -21,6 +23,48 @@ _cache: dict[int, tuple[int, ...]] = {}
 
 
 # ---------------------------------------------------------------------------
+# Rationals and integers.
+
+def _as_fraction(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, str):
+        return Fraction(x)
+    if isinstance(x, float):
+        return Fraction(x).limit_denominator(10**12)
+    if isinstance(x, (int, numbers.Integral)):  # int skips the ABC's check
+        return Fraction(int(x))
+    raise DomainError(f"cannot interpret {x!r} as a rational value")
+
+
+def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The values times their least common denominator, and that denom."""
+    denom = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (denom // v.denominator) for v in values], denom
+
+
+def _factorize(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    d, m = 2, n
+    while d * d <= m:
+        while m % d == 0:
+            out[d] = out.get(d, 0) + 1
+            m //= d
+        d += 1
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
+
+
+def _two_primes(n: int) -> Optional[tuple[int, int]]:
+    """(p, q) with p < q distinct primes and n = p*q, else None."""
+    fact = _factorize(n)
+    if len(fact) == 2 and all(a == 1 for a in fact.values()):
+        return tuple(sorted(fact))
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Integer polynomials as coefficient tuples, lowest degree first.
 
 def poly_trim(c: Sequence[int]) -> tuple[int, ...]:
@@ -28,17 +72,6 @@ def poly_trim(c: Sequence[int]) -> tuple[int, ...]:
     while end > 0 and c[end - 1] == 0:
         end -= 1
     return tuple(c[:end])
-
-
-def poly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return poly_trim(out)
 
 
 def poly_divmod(a: Sequence[int], b: Sequence[int]
@@ -102,10 +135,9 @@ def _subset_poly(n: int, E: Iterable[int]) -> tuple[int, ...]:
     return poly_trim(coeffs)
 
 
-def function_poly(n: int, values: Sequence[Fraction]) -> tuple[int, ...]:
+def function_poly(values: Sequence[Fraction]) -> tuple[int, ...]:
     """Integer polynomial sharing the spectral zeros of a rational function."""
-    denom = math.lcm(*(Fraction(v).denominator for v in values))
-    return poly_trim([int(Fraction(v) * denom) for v in values])
+    return poly_trim(_cleared(values)[0])
 
 
 def poly_zero_at(n: int, coeffs: Sequence[int], l: int) -> bool:
@@ -181,23 +213,6 @@ class ClassificationError(TrideckError):
     """Pattern matches none of the exhaustive case lists (upstream bug)."""
 
 
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d, m = 2, n
-    while d * d <= m:
-        while m % d == 0:
-            out[d] = out.get(d, 0) + 1
-            m //= d
-        d += 1
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
-
-
-def _nonzero_multiples(n: int, g: int) -> frozenset[int]:
-    return frozenset(range(g, n, g))
-
-
 def classify_zero_pattern(n: int, pattern: ZeroPattern) -> StructureCase:
     if pattern.n != n:
         raise DomainError("pattern modulus mismatch")
@@ -228,13 +243,14 @@ def classify_zero_pattern(n: int, pattern: ZeroPattern) -> StructureCase:
             v += 1
         return StructureCase("PrimePowerGapCase", gap_exponent=a - v, **base)
 
-    if len(fact) == 2 and all(a == 1 for a in fact.values()):
-        p, q = sorted(fact)
+    pq = _two_primes(n)
+    if pq is not None:
+        p, q = pq
         # spectrum supported on a proper subgroup -> periodic set
         g = math.gcd(n, math.gcd(*nz_support)) if nz_support else n
         if g in (p, q):
             return StructureCase("TwoPrimePeriodic", period=n // g, **base)
-        both = _nonzero_multiples(n, p) | _nonzero_multiples(n, q)
+        both = frozenset(range(p, n, p)) | frozenset(range(q, n, q))
         # zeros confined to pZ u qZ, or spectrum confined there: the set
         # splits as a p-periodic plus a q-periodic part
         if zeros <= both or nz_support <= both:

@@ -18,7 +18,7 @@ import numpy as np
 from .config import compute_budget
 from .cyclic import (CyclicFunction, deck_equal, equal_up_to_translation,
                      k_deck)
-from .cyclotomic import _factorize, cyclotomic, poly_divmod
+from .cyclotomic import _factorize, cyclotomic
 from .errors import BudgetError, DomainError, TrideckError
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -312,6 +312,8 @@ def _residue_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
     `block` whose column for d sums d's columns.  Row i of bits @ M holds
     the remainders mod each Phi_d of the polynomial sum_j bits[i, j] x^j,
     so Phi_d divides it exactly when d's columns of that row are all zero.
+    Each divisor's rows are x^j for j < phi(d), then x * row mod Phi_d in
+    turn, and repeat with period d, since x^d = 1 mod Phi_d.
 
     M is float64 when n * max|M| < 2^53, and bits @ M is still exact:
     bits are 0 or 1, so every product is 0 or an entry of M, and every
@@ -324,12 +326,16 @@ def _residue_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
     start = 0
     for i, d in enumerate(divisors):
         phi = cyclotomic(d)
-        row: tuple[int, ...] = (1,)
-        for j in range(n):
-            M[j, start:start + len(row)] = row
-            row = poly_divmod((0,) + row, phi)[1]  # x * row mod Phi_d
-        block[start:start + len(phi) - 1, i] = 1
-        start += len(phi) - 1
+        deg = len(phi) - 1
+        rows = np.eye(d, deg, dtype=np.int64)
+        row = rows[deg - 1].tolist()
+        for j in range(deg, d):
+            c = row[-1]  # c * x^deg = -c * (phi - x^deg) mod Phi_d
+            row = [a - c * b for a, b in zip([0] + row[:-1], phi)]
+            rows[j] = row
+        M[:, start:start + deg] = rows[np.arange(n) % d]
+        block[start:start + deg, i] = 1
+        start += deg
     if n * int(np.abs(M).max(initial=0)) < 2**53:
         M = M.astype(np.float64)
     return M, block

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .cyclic import _as_fraction
+from .cyclotomic import _as_fraction
 from .errors import DomainError
 
 

@@ -369,11 +369,10 @@ def continuity_probe(f: SampledFunction, k: int,
     return out
 
 
-def sample_interval_indicator(E: IntervalSet, h: float,
-                              margin: float = 0.0) -> SampledFunction:
+def sample_interval_indicator(E: IntervalSet, h: float) -> SampledFunction:
     """Indicator of an IntervalSet sampled at left grid endpoints."""
-    lo = float(min(a for a, _ in E.intervals)) - margin
-    hi = float(max(b for _, b in E.intervals)) + margin
+    lo = float(min(a for a, _ in E.intervals))
+    hi = float(max(b for _, b in E.intervals))
     n = int(np.ceil((hi - lo) / h)) + 1
     x = lo + h * np.arange(n)
     vals = np.zeros(n)

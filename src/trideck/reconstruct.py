@@ -24,7 +24,8 @@ from numpy.lib.stride_tricks import as_strided
 
 from .cyclic import (Bispectrum, CyclicFunction, KDeck, bispectrum_from_deck,
                      canonical_rotation, three_deck_fft, translate)
-from .cyclotomic import _factorize, function_poly, zero_pattern_of_poly
+from .cyclotomic import (_factorize, _two_primes, function_poly,
+                         zero_pattern_of_poly)
 from .errors import DomainError, InconsistentBispectrumError
 
 SUPPORT_REL_TOL = 1e-8
@@ -442,14 +443,6 @@ def _pq_family(deck: KDeck, B: Bispectrum, mags: np.ndarray, support,
     return _translates_pq(canon, p, q)
 
 
-def _two_primes(n: int) -> Optional[tuple[int, int]]:
-    """(p, q) with p < q distinct primes and n = p*q, else None."""
-    fact = _factorize(n)
-    if len(fact) == 2 and all(a == 1 for a in fact.values()):
-        return tuple(sorted(fact))
-    return None
-
-
 def _pq_shifts(p: int, q: int) -> list[int]:
     """The shifts s = j*a + l*b, j < p and l < q, in that order: a and b
     are the CRT idempotents, so s = j mod p, s = l mod q."""
@@ -479,7 +472,7 @@ def solutions_pq(f: CyclicFunction, p: int, q: int) -> list[CyclicFunction]:
     if p == q or n != p * q:
         raise DomainError(f"need n = p*q with distinct primes, got "
                           f"n={n}, p={p}, q={q}")
-    pattern = zero_pattern_of_poly(n, function_poly(n, f.values))
+    pattern = zero_pattern_of_poly(n, function_poly(f.values))
     allowed = {l for l in range(n) if l % p == 0 or l % q == 0}
     if not pattern.support <= allowed:
         raise DomainError(

@@ -114,7 +114,7 @@ def test_criterion_07_reconstruction_roundtrip():
             n = int(rng.integers(3, 33))
             f = td.CyclicFunction.of(
                 [int(v) for v in rng.integers(0, 6, size=n)])
-            if not zero_pattern_of_poly(n, function_poly(n, f.values)).zeros:
+            if not zero_pattern_of_poly(n, function_poly(f.values)).zeros:
                 break
         rep = td.reconstruct_from_deck(td.k_deck(f, 3))
         cand = td.CyclicFunction.of(

@@ -1,4 +1,7 @@
+import ast
 import math
+import pathlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,10 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trideck as td
-from trideck.cyclotomic import (ClassificationError, cyclotomic,
+from trideck.cyclotomic import (ClassificationError, _as_fraction, _cleared,
+                                _two_primes, cyclotomic,
                                 function_poly, poly_divides, poly_divmod,
                                 zero_pattern_of_poly)
 from trideck.errors import DomainError
+
+
+def poly_mul(a, b):
+    """Schoolbook product of two coefficient tuples, lowest degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return tuple(out)
 
 
 class TestCyclotomic:
@@ -43,7 +56,6 @@ class TestCyclotomic:
         # prod over d | n of Phi_d = x^n - 1
         for n in (6, 12, 30):
             poly = (1,)
-            from trideck.cyclotomic import poly_mul
             for d in range(1, n + 1):
                 if n % d == 0:
                     poly = poly_mul(poly, cyclotomic(d))
@@ -104,7 +116,7 @@ class TestZeroDetection:
 
     def test_function_poly_clears_denominators(self):
         vals = td.CyclicFunction.of(["1/2", "1/3", 0]).values
-        assert function_poly(3, vals) == (3, 2)
+        assert function_poly(vals) == (3, 2)
 
 
 class TestPeriodicityAndClassification:
@@ -153,5 +165,70 @@ class TestPeriodicityAndClassification:
 
     def test_rational_function_patterns(self):
         vals = td.CyclicFunction.of([1, 1, 0, 2, 0, 1]).values
-        pat = zero_pattern_of_poly(6, function_poly(6, vals))
+        pat = zero_pattern_of_poly(6, function_poly(vals))
         assert pat.support <= {l for l in range(6) if l % 2 == 0 or l % 3 == 0}
+
+
+class TestExactHelpers:
+    @pytest.mark.parametrize("x,want", [
+        (3, Fraction(3)), (True, Fraction(1)), (np.int8(-4), Fraction(-4)),
+        (np.uint64(2**63), Fraction(2**63)), ("5/6", Fraction(5, 6)),
+        (0.5, Fraction(1, 2)), (np.float64(0.25), Fraction(1, 4)),
+        (Fraction(2, 7), Fraction(2, 7))])
+    def test_as_fraction(self, x, want):
+        got = _as_fraction(x)
+        assert got == want and type(got) is Fraction
+
+    @pytest.mark.parametrize("x", [np.bool_(True), np.float32(0.5), None])
+    def test_as_fraction_refuses(self, x):
+        with pytest.raises(DomainError):
+            _as_fraction(x)
+
+    def test_cleared(self):
+        vals = [Fraction(1, 4), Fraction(1, 6), Fraction(0), Fraction(-3)]
+        assert _cleared(vals) == ([3, 2, 0, -36], 12)
+        assert _cleared([]) == ([], 1)
+
+    def test_two_primes(self):
+        def prime(m):
+            return m > 1 and all(m % k for k in range(2, m))
+        for n in range(1, 400):
+            pq = [(p, n // p) for p in range(2, n) if n % p == 0
+                  and p < n // p and prime(p) and prime(n // p)]
+            assert _two_primes(n) == (pq[0] if pq else None), n
+
+
+SRC = pathlib.Path(td.__file__).parent
+
+
+def _imported(module: str) -> set[str]:
+    """The modules that the import statements of trideck.<module> name,
+    trideck submodules as "trideck.<name>" and the package itself as
+    "trideck".  The walk below does not follow "trideck", whose __init__
+    imports every module."""
+    out = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            out.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module)
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.module else [
+                a.name for a in node.names]
+            out.update(f"trideck.{m}" if (SRC / f"{m}.py").exists()
+                       else "trideck" for m in names)
+    return out
+
+
+@pytest.mark.parametrize("module",
+                         ["cyclotomic", "intervals", "config", "errors"])
+def test_module_reaches_no_numpy(module):
+    seen, todo = set(), [module]
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        for m in _imported(name):
+            assert m.split(".")[0] != "numpy", (module, name, m)
+            sub = m.removeprefix("trideck.")
+            if m.startswith("trideck.") and sub not in seen:
+                todo.append(sub)

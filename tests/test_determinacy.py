@@ -355,6 +355,21 @@ class TestSurvey:
         M, _ = determinacy._residue_matrix(2)
         assert M.dtype == dtype and M[:, 0].tolist() == [1, c]
 
+    @pytest.mark.parametrize("n", [*range(2, 80), 105, 210, 360, 1009])
+    def test_residue_matrix_matches_division(self, n):
+        # the columns of each divisor d, x^j mod Phi_d for j < n, each from
+        # the last by one poly_divmod
+        cols = []
+        for d in range(2, n + 1):
+            if n % d == 0:
+                phi, row, rows = cyclotomic(d), (1,), []
+                for _ in range(n):
+                    rows.append(row + (0,) * (len(phi) - 1 - len(row)))
+                    row = poly_divmod((0,) + row, phi)[1]
+                cols.append(np.array(rows))
+        M, _ = determinacy._residue_matrix(n)
+        assert np.array_equal(M, np.hstack(cols))
+
     def test_residue_matrix_is_charged_to_the_budget(self, monkeypatch):
         # n * (n - 1) entries: 992 at n = 32, 1 332 870 at n = 1155
         monkeypatch.setenv("TRIDECK_BUDGET", "1000")

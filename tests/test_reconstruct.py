@@ -23,7 +23,7 @@ def _rounded(f):
 
 
 def _no_spectral_zeros(f):
-    pat = zero_pattern_of_poly(f.n, function_poly(f.n, f.values))
+    pat = zero_pattern_of_poly(f.n, function_poly(f.values))
     return not pat.zeros
 
 
@@ -332,7 +332,7 @@ class TestPropagation:
 
     def test_split_support_flags_unreached(self):
         f = td.CyclicFunction.of([1, 1, 0, 2, 0, 1])
-        pat = zero_pattern_of_poly(6, function_poly(6, f.values))
+        pat = zero_pattern_of_poly(6, function_poly(f.values))
         pa = td.propagate_phases(pat, td.bispectrum(f))
         assert pa.unreached  # the two subgroup components cannot link up
 
