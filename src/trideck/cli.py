@@ -125,8 +125,13 @@ def _cmd_deck(args):
 
 
 def _cmd_bispectrum(args):
-    f = _function_from_args(args)
-    return bispectrum(f).to_json_dict()
+    # charged here, not in bispectrum(), which reconstruct's verification
+    # calls under its own --budget
+    n = args.n if args.values is None else len(args.values.split(","))
+    if n is not None and n * n > compute_budget():
+        raise BudgetError(f"the bispectrum at n={n} has {n * n} entries, "
+                          "over the compute budget")
+    return bispectrum(_function_from_args(args)).to_json_dict()
 
 
 def _cmd_reconstruct(args):

@@ -28,7 +28,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .config import compute_budget
-from .cyclotomic import _as_fraction, _cleared
+from .cyclotomic import _as_fraction, _cleared, _least_rotation
 from .errors import BudgetError, DomainError, ShapeMismatchError
 
 MAX_DECK_ORDER = 6  # decks for k > 6 are out of scope
@@ -66,6 +66,8 @@ class CyclicFunction:
 
     @classmethod
     def indicator(cls, n: int, subset: Iterable[int]) -> "CyclicFunction":
+        if n < 1:
+            raise DomainError(f"modulus must be >= 1, got {n}")
         members = {j % n for j in subset}
         return cls(n, tuple(Fraction(1 if j in members else 0)
                             for j in range(n)))
@@ -446,11 +448,13 @@ def equal_up_to_translation(f: CyclicFunction,
     """Least a in [0,n) with g = translate(f, a), or None."""
     if f.n != g.n:
         raise ShapeMismatchError(f"moduli differ: {f.n} != {g.n}")
-    n = f.n
-    for a in range(n):
-        if all(g.values[j] == f.values[(j - a) % n] for j in range(n)):
-            return a
-    return None
+    # cleared integers order as the values do; equal functions share a denom
+    (a, da), (b, db) = _cleared(f.values), _cleared(g.values)
+    sf, period = _least_rotation(a)
+    sg, _ = _least_rotation(b)
+    if da != db or a[sf:] + a[:sf] != b[sg:] + b[:sg]:
+        return None
+    return (sg - sf) % period  # g(j + sg) = f(j + sf), up to the period
 
 
 def deck_equal(d1: KDeck, d2: KDeck) -> bool:
@@ -464,27 +468,7 @@ def deck_equal(d1: KDeck, d2: KDeck) -> bool:
 
 
 def canonical_rotation(f: CyclicFunction) -> tuple[CyclicFunction, int]:
-    """Lexicographically-smallest rotation and the least shift producing it.
-
-    Minimum-expression search: two candidate starts are compared until one
-    loses, and a loss after m equal values rules out m + 1 starts, so the
-    search takes O(n) comparisons.  If it ends with both candidates equal,
-    they are the two least starts of the least rotation, a period apart."""
-    v, n = f.values, f.n
-    i, j, m = 0, 1, 0
-    while i < n and j < n and m < n:
-        x, y = v[(i + m) % n], v[(j + m) % n]
-        if x == y:
-            m += 1
-            continue
-        if x > y:
-            i += m + 1
-        else:
-            j += m + 1
-        if i == j:
-            j += 1
-        m = 0
-    s = min(i, j)
-    period = abs(i - j) if m == n else n
+    """Lexicographically-smallest rotation and the least shift producing it."""
+    s, period = _least_rotation(_cleared(f.values)[0])
     # translate(f, a) starts at -a, and equal rotations start a period apart
-    return CyclicFunction(n, v[s:] + v[:s]), -s % period
+    return CyclicFunction(f.n, f.values[s:] + f.values[:s]), -s % period

@@ -4,7 +4,8 @@ chi_E_hat(l) = P_E(zeta^l) with P_E(x) = sum_{j in E} x^j, so the spectrum
 vanishes at l != 0 exactly when Phi_{n/gcd(n,l)} divides P_E over Z.  Zero
 detection is always done this way, never by floating thresholds: a false
 zero/nonzero would flip the structural classification downstream.  The
-module also parses rationals, clears denominators and tests n = pq.
+module also parses rationals, clears denominators, tests n = pq and finds
+the least rotation of a sequence.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ _cache: dict[int, tuple[int, ...]] = {}
 
 
 # ---------------------------------------------------------------------------
-# Rationals and integers.
+# Rationals, integers and rotations.
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -62,6 +63,31 @@ def _two_primes(n: int) -> Optional[tuple[int, int]]:
     if len(fact) == 2 and all(a == 1 for a in fact.values()):
         return tuple(sorted(fact))
     return None
+
+
+def _least_rotation(values: Sequence) -> tuple[int, int]:
+    """(s, d): s the least start of the lexicographically least rotation of
+    values, and d the least period of values (len(values) if none is less).
+
+    Minimum-expression search: two candidate starts are compared until one
+    loses, and a loss after m equal values rules out m + 1 starts, so the
+    search takes O(n) comparisons.  If it ends with both candidates equal,
+    they are the two least starts of the least rotation, a period apart."""
+    n, v = len(values), tuple(values) * 2  # v[i + m], i, m < n: no modulus
+    i, j, m = 0, 1, 0
+    while i < n and j < n and m < n:
+        x, y = v[i + m], v[j + m]
+        if x == y:
+            m += 1
+            continue
+        if x > y:
+            i += m + 1
+        else:
+            j += m + 1
+        if i == j:
+            j += 1
+        m = 0
+    return min(i, j), abs(i - j) if m == n else n
 
 
 # ---------------------------------------------------------------------------
@@ -140,21 +166,6 @@ def function_poly(values: Sequence[Fraction]) -> tuple[int, ...]:
     return poly_trim(_cleared(values)[0])
 
 
-def poly_zero_at(n: int, coeffs: Sequence[int], l: int) -> bool:
-    """Exact test of P(zeta^l) = 0 for an integer polynomial P."""
-    l %= n
-    coeffs = poly_trim(coeffs)
-    if l == 0:
-        return sum(coeffs) == 0
-    d = n // math.gcd(n, l)
-    return poly_divides(cyclotomic(d), coeffs)
-
-
-def spectrum_zero_exact(n: int, E: Iterable[int], l: int) -> bool:
-    """True iff chi_E_hat(l) = 0, decided in integer arithmetic."""
-    return poly_zero_at(n, _subset_poly(n, E), l)
-
-
 @dataclasses.dataclass(frozen=True)
 class ZeroPattern:
     n: int
@@ -182,13 +193,16 @@ def zero_pattern_of_poly(n: int, coeffs: Sequence[int]) -> ZeroPattern:
                        frozenset(range(n)) - frozenset(zeros))
 
 
+def spectrum_zero_exact(n: int, E: Iterable[int], l: int) -> bool:
+    """True iff chi_E_hat(l) = 0, decided in integer arithmetic."""
+    zeros = zero_set(n, E).zeros
+    return l % n in zeros
+
+
 def periodicity(n: int, E: Iterable[int]) -> int:
     """Least d | n with E + d = E."""
     members = {j % n for j in E}
-    for d in sorted(d for d in range(1, n + 1) if n % d == 0):
-        if {(j + d) % n for j in members} == members:
-            return d
-    return n
+    return _least_rotation([j in members for j in range(n)])[1]
 
 
 # ---------------------------------------------------------------------------

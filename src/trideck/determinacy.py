@@ -18,7 +18,7 @@ import numpy as np
 from .config import compute_budget
 from .cyclic import (CyclicFunction, deck_equal, equal_up_to_translation,
                      k_deck)
-from .cyclotomic import _factorize, cyclotomic
+from .cyclotomic import _two_primes, cyclotomic
 from .errors import BudgetError, DomainError, TrideckError
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -245,13 +245,18 @@ def gm_counterexample(p: int, q: int, r: int) -> CounterexamplePair:
     nonvanishing bispectrum entry is a real magnitude product, which makes
     the 3-deck reflection-invariant.  The smallest asymmetric choice (in a
     fixed enumeration order) whose 4-decks differ is returned, and all
-    claimed properties are re-verified exactly; failure aborts.
+    claimed properties are re-verified exactly; failure aborts.  The n^4
+    entries of a 4-deck are charged to the compute budget before any set is
+    built, and before p*q is factored, which bounds that too.
     """
-    if p == q or any(_factorize(m) != {m: 1} for m in (p, q)):
+    n = p * q * r
+    if n**4 > compute_budget():
+        raise BudgetError(f"the 4-decks at n={n} have {n}^4 entries, "
+                          "over the compute budget")
+    if _two_primes(p * q) != tuple(sorted((p, q))):
         raise DomainError(f"p={p}, q={q} must be distinct primes")
     if r < 3:
         raise DomainError(f"r must be >= 3, got {r}")
-    n = p * q * r
     if n % 2:
         raise DomainError(
             f"n = {n} is odd; the antipodal construction needs an even "

@@ -59,7 +59,11 @@ class SampledFunction:
     @classmethod
     def load_csv(cls, path: str) -> "SampledFunction":
         with open(path) as fh:
-            h, origin, n = fh.readline().strip().split(",")
+            header = fh.readline().strip().split(",")
+            if len(header) != 3:
+                raise DomainError(f"{path}: expected a first line "
+                                  "h,origin,count")
+            h, origin, n = header
             vals = np.array([float(line) for line in fh], dtype=np.float64)
         if len(vals) != int(n):
             raise DomainError(f"expected {n} samples, got {len(vals)}")

@@ -24,8 +24,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .cyclic import (Bispectrum, CyclicFunction, KDeck, bispectrum_from_deck,
                      canonical_rotation, three_deck_fft, translate)
-from .cyclotomic import (_factorize, _two_primes, function_poly,
-                         zero_pattern_of_poly)
+from .cyclotomic import _two_primes, function_poly, zero_pattern_of_poly
 from .errors import DomainError, InconsistentBispectrumError
 
 SUPPORT_REL_TOL = 1e-8
@@ -466,10 +465,7 @@ def solutions_pq(f: CyclicFunction, p: int, q: int) -> list[CyclicFunction]:
     f itself first, and all members share the exact 3-deck of f.
     """
     n = f.n
-    for r in (p, q):
-        if _factorize(r) != {r: 1}:
-            raise DomainError(f"{r} is not prime")
-    if p == q or n != p * q:
+    if _two_primes(n) != tuple(sorted((p, q))):  # hence also n = p*q
         raise DomainError(f"need n = p*q with distinct primes, got "
                           f"n={n}, p={p}, q={q}")
     pattern = zero_pattern_of_poly(n, function_poly(f.values))

@@ -117,6 +117,31 @@ class TestExitCodes:
         assert code == EXIT_BUDGET and out == ""
         assert err.startswith("trideck: budget refusal: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["bispectrum", "--n", "100000", "--set", "0,1"],
+        ["bispectrum", "--values", ",".join(["1"] * 10001)]])
+    def test_bispectrum_is_charged(self, capsys, monkeypatch, argv):
+        # one n x n complex array is 149 GiB at n = 10^5; the refusal
+        # comes before the function is built
+        def unbuilt(*a):
+            raise AssertionError("the function was built")
+        monkeypatch.delenv("TRIDECK_BUDGET", raising=False)
+        monkeypatch.setattr(cli, "_function_from_args", unbuilt)
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_BUDGET and out == ""
+        assert err.startswith("trideck: budget refusal: ")
+
+    def test_gm_decks_are_charged(self, capsys, monkeypatch):
+        # n = 4 088 468: the refusal comes before any set is built
+        def unbuilt(*a):
+            raise AssertionError("an indicator was built")
+        monkeypatch.delenv("TRIDECK_BUDGET", raising=False)
+        monkeypatch.setattr(trideck.CyclicFunction, "indicator", unbuilt)
+        code, out, err = run(capsys, "gm", "--p", "1009", "--q", "1013",
+                             "--r", "4")
+        assert code == EXIT_BUDGET and out == ""
+        assert err.startswith("trideck: budget refusal: ")
+
     def test_usage_error(self, capsys):
         assert run(capsys, "frobnicate")[0] == EXIT_USAGE
         assert run(capsys)[0] == EXIT_USAGE
@@ -622,6 +647,21 @@ class TestMalformedInput:
         code, out, err = run(capsys, command, "--n", n, "--set", "0")
         assert code == EXIT_DOMAIN and out == ""
         assert "modulus must be >= 1" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["deck"], ["bispectrum"], ["reconstruct"], ["allk", "--other", "0"]])
+    def test_indicator_modulus_below_one(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--n", "0", "--set", "0")
+        assert code == EXIT_DOMAIN and out == ""
+        assert err == "trideck: error: modulus must be >= 1, got 0\n"
+
+    def test_stability_names_the_header(self, capsys, tmp_path):
+        p = tmp_path / "g.csv"
+        p.write_text("")
+        code, out, err = run(capsys, "rline", "stability", "--in", str(p))
+        assert code == EXIT_DOMAIN and out == ""
+        assert err == (f"trideck: error: {p}: expected a first line "
+                       "h,origin,count\n")
 
     def test_stability_rejects_nan(self, capsys, tmp_path):
         p = tmp_path / "g.csv"

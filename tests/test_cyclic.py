@@ -490,6 +490,33 @@ class TestTranslation:
             td.equal_up_to_translation(td.CyclicFunction.of([1]),
                                        td.CyclicFunction.of([1, 1]))
 
+    @staticmethod
+    def _shift_loop(f, g):  # every shift tried, the least first
+        n = f.n
+        for a in range(n):
+            if all(g.values[j] == f.values[(j - a) % n] for j in range(n)):
+                return a
+        return None
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_equal_up_to_translation_matches_shift_loop(self, n):
+        # every f over {0, 1, 2}: each translate, a random g, a random
+        # rearrangement of f's own values and f / 2, whose cleared integers
+        # are often f's
+        rng = np.random.default_rng(n)
+        digits = [Fraction(0), Fraction(1), Fraction(2)]
+        for vals in itertools.product(digits, repeat=n):
+            f = td.CyclicFunction(n, vals)
+            others = [td.translate(f, a) for a in range(n)]
+            others.append(td.CyclicFunction(
+                n, tuple(digits[int(d)] for d in rng.integers(0, 3, n))))
+            others.append(td.CyclicFunction(
+                n, tuple(vals[int(j)] for j in rng.permutation(n))))
+            others.append(td.CyclicFunction(n, tuple(v / 2 for v in vals)))
+            for g in others:
+                assert (td.equal_up_to_translation(f, g)
+                        == self._shift_loop(f, g)), (f, g)
+
     def test_canonical_rotation(self):
         f = td.CyclicFunction.of([2, 0, 1])
         canon, shift = td.canonical_rotation(f)

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 import pathlib
 from fractions import Fraction
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import trideck as td
 from trideck.cyclotomic import (ClassificationError, _as_fraction, _cleared,
-                                _two_primes, cyclotomic,
+                                _least_rotation, _two_primes, cyclotomic,
                                 function_poly, poly_divides, poly_divmod,
                                 zero_pattern_of_poly)
 from trideck.errors import DomainError
@@ -124,6 +125,26 @@ class TestPeriodicityAndClassification:
         assert td.periodicity(6, {0, 2, 4}) == 2
         assert td.periodicity(6, {0, 1}) == 6
         assert td.periodicity(6, range(6)) == 1
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_periodicity_matches_divisor_scan(self, n):
+        def scan(E):  # each divisor tried, the least first
+            for d in range(1, n + 1):
+                if n % d == 0 and {(j + d) % n for j in E} == E:
+                    return d
+        for mask in range(1 << n):
+            E = {j for j in range(n) if mask >> j & 1}
+            assert td.periodicity(n, E) == scan(E), (n, E)
+
+    def test_least_rotation_is_least(self):
+        # plain sequences of any comparable values: strings here
+        for n in range(1, 9):
+            for word in itertools.product("abc", repeat=n):
+                rots = [word[s:] + word[:s] for s in range(n)]
+                least = min(rots)
+                assert _least_rotation(word) == (
+                    rots.index(least), rots[1:].index(word) + 1
+                    if word in rots[1:] else n), word
 
     def test_prime_power_cases(self):
         assert td.classify_zero_pattern(

@@ -2,9 +2,12 @@
 line whose output is exact.
 
 The lines are those of README's CLI and Scripts sections and of the CI step
-"Installed console script, cold".  `bispectrum`, `rline` and sampled
-`survey` print floats that depend on the BLAS/FFT build or the numpy
-version, so they are not here.  A change that alters stdout on purpose
+"Installed console script, cold", which runs every case here on the
+installed script.  `bispectrum`, `rline` and sampled `survey` print floats
+that depend on the BLAS/FFT build or the numpy version, so they are not
+here.  README's CLI lines of that kind are FLOAT_LINES and must exit 0,
+and every other README CLI line must be a case here, so README and the
+golden files cannot drift apart.  A change that alters stdout on purpose
 rewrites the golden files with `PYTHONPATH=src python tests/test_golden.py`
 and says so in CHANGES.md.
 """
@@ -12,6 +15,7 @@ and says so in CHANGES.md.
 import contextlib
 import io
 import pathlib
+import shlex
 
 import pytest
 
@@ -60,6 +64,34 @@ CASES = [
     ("intervals_ddx_kink",
      ["intervals", "ddx", "--set", _SET, "--x=-1/4", "--y", "5/4"], 1),
 ]
+
+
+# README's CLI lines that print floats, in README's order: each must exit 0.
+# `rline stability` reads the grid that `rline cospair --save-prefix` wrote.
+FLOAT_LINES = [
+    ["survey", "--n", "26", "--samples", "50000", "--seed", "0", "--mode",
+     "sampled"],
+    ["rline", "cospair", "--k", "3", "--h", "1/256", "--save-prefix", "grid"],
+    ["rline", "stability", "--in", "grid_f.csv"],
+]
+
+
+def _readme_cli_lines() -> list[list[str]]:
+    """The argv of each line of README's `## CLI` code block."""
+    text = (GOLDEN.parent.parent / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    assert all(line.startswith("trideck ") for line in lines), lines
+    return [shlex.split(line)[1:] for line in lines]
+
+
+def test_readme_cli_lines_are_checked(tmp_path, monkeypatch, capsys):
+    golden = [argv for _, argv, _ in CASES]
+    lines = _readme_cli_lines()
+    assert [argv for argv in lines if argv not in golden] == FLOAT_LINES
+    monkeypatch.chdir(tmp_path)
+    for argv in FLOAT_LINES:
+        assert cli.main(argv) == 0, (argv, capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("stem,argv,code", CASES,
