@@ -22,7 +22,8 @@ import numpy as np
 
 from . import __version__
 from .config import compute_budget
-from .cyclic import CyclicFunction, KDeck, bispectrum, k_deck
+from .cyclic import (MAX_DECK_ORDER, CyclicFunction, KDeck, bispectrum,
+                     k_deck)
 from .cyclotomic import classify_zero_pattern, zero_set
 from .determinacy import (exhaustive_determinacy, gm_counterexample,
                           survey_zero_proportion, verify_all_k_uniqueness)
@@ -105,6 +106,16 @@ def _function_from_args(args) -> CyclicFunction:
     return CyclicFunction.indicator(args.n, _int_list(args.set))
 
 
+def _charge_function(args, power: int, what: str) -> None:
+    """Refuse a result of n^power entries over the compute budget before
+    the function of --n or --values is built."""
+    n = args.n if args.values is None else len(args.values.split(","))
+    if n is not None and n**power > compute_budget(
+            getattr(args, "budget", None)):
+        raise BudgetError(f"the {what} at n={n} has {n}^{power} entries, "
+                          "over the compute budget")
+
+
 def _interval_set(spec: str) -> IntervalSet:
     if os.path.exists(spec):
         with open(spec) as fh:
@@ -117,8 +128,9 @@ def _interval_set(spec: str) -> IntervalSet:
 # the primary output.
 
 def _cmd_deck(args):
-    f = _function_from_args(args)
-    deck = k_deck(f, args.k, args.budget)
+    if args.k <= MAX_DECK_ORDER:  # k_deck refuses a larger order as such
+        _charge_function(args, args.k, f"{args.k}-deck")
+    deck = k_deck(_function_from_args(args), args.k, args.budget)
     if args.format == "csv":
         return deck.to_csv()
     return deck.to_json()
@@ -127,10 +139,7 @@ def _cmd_deck(args):
 def _cmd_bispectrum(args):
     # charged here, not in bispectrum(), which reconstruct's verification
     # calls under its own --budget
-    n = args.n if args.values is None else len(args.values.split(","))
-    if n is not None and n * n > compute_budget():
-        raise BudgetError(f"the bispectrum at n={n} has {n * n} entries, "
-                          "over the compute budget")
+    _charge_function(args, 2, "bispectrum")
     return bispectrum(_function_from_args(args)).to_json_dict()
 
 
@@ -139,6 +148,7 @@ def _cmd_reconstruct(args):
         with open(args.deck) as fh:
             deck = KDeck.from_json_dict(json.load(fh))
     else:
+        _charge_function(args, 3, "3-deck")
         deck = k_deck(_function_from_args(args), 3, args.budget)
     return reconstruct_from_deck(deck).to_json()
 

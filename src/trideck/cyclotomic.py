@@ -16,11 +16,8 @@ import numbers
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import DomainError, TrideckError
-
-CYCLOTOMIC_CACHE_BOUND = 10**4
-
-_cache: dict[int, tuple[int, ...]] = {}
+from .config import compute_budget
+from .errors import BudgetError, DomainError, TrideckError
 
 
 # ---------------------------------------------------------------------------
@@ -91,79 +88,96 @@ def _least_rotation(values: Sequence) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Integer polynomials as coefficient tuples, lowest degree first.
+# Integer polynomials as coefficient lists, lowest degree first, built and
+# tested from the binomials x^e - 1 alone.
 
-def poly_trim(c: Sequence[int]) -> tuple[int, ...]:
-    end = len(c)
-    while end > 0 and c[end - 1] == 0:
-        end -= 1
-    return tuple(c[:end])
-
-
-def poly_divmod(a: Sequence[int], b: Sequence[int]
-                ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Division over Q kept integral; requires b monic or +-1 leading."""
-    b = poly_trim(b)
-    if not b:
-        raise DomainError("division by the zero polynomial")
-    lead = b[-1]
-    if lead not in (1, -1):
-        raise DomainError("divisor must have leading coefficient +-1")
-    rem = list(poly_trim(a))
-    quot = [0] * max(len(rem) - len(b) + 1, 0)
-    while len(rem) >= len(b) and rem:
-        coef = rem[-1] * lead
-        deg = len(rem) - len(b)
-        quot[deg] = coef
-        for j, bj in enumerate(b):
-            rem[deg + j] -= coef * bj
-        rem = list(poly_trim(rem))
-    return poly_trim(quot), poly_trim(rem)
+def _binomials(m: int) -> tuple[list[int], list[int]]:
+    """(up, down): the exponents m/s over the squarefree s | m with
+    mu(s) = 1 and with mu(s) = -1.  Moebius inversion of
+    x^m - 1 = prod_{d | m} Phi_d gives Phi_m * prod_down = prod_up, each
+    product taken over the x^e - 1."""
+    up, down = [m], []
+    for p in _factorize(m):
+        up, down = up + [e // p for e in down], down + [e // p for e in up]
+    return up, down
 
 
-def poly_divides(d: Sequence[int], a: Sequence[int]) -> bool:
-    a = poly_trim(a)
-    if not a:
-        return True
-    _, rem = poly_divmod(a, d)
-    return not rem
+def _over(c: list[int], e: int) -> Optional[list[int]]:
+    """The quotient of c by x^e - 1, or None when there is a remainder.
+    c = q * (x^e - 1) reads c_j = q_(j-e) - q_j, so q is minus the running
+    sums of c along each residue class mod e, and the division is exact
+    when each class sums to 0."""
+    q = [-a for a in c]
+    for j in range(e, len(q)):
+        q[j] += q[j - e]
+    return None if any(q[-e:]) else q[:-e]
+
+
+def _ratio(c: list[int], times: list[int],
+           over: list[int]) -> Optional[list[int]]:
+    """c times the x^e - 1 of `times`, then divided by those of `over` in
+    turn; None when a division leaves a remainder."""
+    for e in times:
+        c = [a - b for a, b in zip([0] * e + c, c + [0] * e)]
+    for e in over:
+        c = _over(c, e)
+        if c is None:
+            return None
+    return c
 
 
 def cyclotomic(m: int) -> tuple[int, ...]:
-    """m-th cyclotomic polynomial, by exact division of x^m - 1 by the
-    Phi_d of proper divisors d.  Cached up to CYCLOTOMIC_CACHE_BOUND."""
+    """m-th cyclotomic polynomial, prod_up / prod_down."""
     if m < 1:
         raise DomainError(f"cyclotomic order must be >= 1, got {m}")
-    cached = _cache.get(m)
-    if cached is not None:
-        return cached
-    num = [-1] + [0] * (m - 1) + [1]  # x^m - 1
-    poly = poly_trim(num)
-    for d in range(1, m):
-        if m % d == 0:
-            poly, rem = poly_divmod(poly, cyclotomic(d))
-            if rem:
-                raise TrideckError(f"inexact cyclotomic division at m={m}")
-    if m <= CYCLOTOMIC_CACHE_BOUND:
-        _cache[m] = poly
-    return poly
+    up, down = _binomials(m)
+    poly = _ratio([1], up, down)
+    if poly is None:
+        raise TrideckError(f"inexact cyclotomic division at m={m}")
+    return tuple(poly)
+
+
+def _divisible(coeffs: Sequence[int], d: int) -> bool:
+    """Whether Phi_d divides the polynomial P with these coefficients.
+    Phi_d divides x^d - 1, so it divides P exactly when it divides r, P
+    folded mod x^d - 1, and as Phi_d * prod_down = prod_up, exactly when
+    r * prod_down divides by each binomial of up in turn."""
+    up, down = _binomials(d)
+    return _ratio([sum(coeffs[i::d]) for i in range(d)], down, up) is not None
 
 
 # ---------------------------------------------------------------------------
 # Spectral zeros.
 
-def _subset_poly(n: int, E: Iterable[int]) -> tuple[int, ...]:
+def _charged_divisors(n: int) -> list[int]:
+    """The divisors of n, once the n * tau(n) additions that fold a
+    polynomial mod x^d - 1 for every d | n are charged to the compute
+    budget.  n alone is charged first, so only a small n is factorized."""
     if n < 1:
         raise DomainError(f"modulus must be >= 1, got {n}")
+    budget, divisors = compute_budget(), [1]
+    if n <= budget:
+        for p, a in _factorize(n).items():
+            divisors = [d * p**i for d in divisors for i in range(a + 1)]
+    if n * len(divisors) > budget:
+        raise BudgetError(f"the zero test at n={n} takes n * tau(n) "
+                          "additions, over the compute budget")
+    return divisors
+
+
+def _subset_poly(n: int, E: Iterable[int]) -> list[int]:
     coeffs = [0] * n
     for j in E:
         coeffs[j % n] += 1
-    return poly_trim(coeffs)
+    return coeffs
 
 
 def function_poly(values: Sequence[Fraction]) -> tuple[int, ...]:
     """Integer polynomial sharing the spectral zeros of a rational function."""
-    return poly_trim(_cleared(values)[0])
+    coeffs = _cleared(values)[0]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -178,19 +192,17 @@ class ZeroPattern:
 
 
 def zero_set(n: int, E: Iterable[int]) -> ZeroPattern:
+    _charged_divisors(n)  # before the n coefficients are built
     return zero_pattern_of_poly(n, _subset_poly(n, E))
 
 
 def zero_pattern_of_poly(n: int, coeffs: Sequence[int]) -> ZeroPattern:
-    # Divisibility by Phi_d settles a whole Galois class of l at once.
-    zeros: set[int] = set()
-    if sum(coeffs) == 0:
-        zeros.add(0)
-    for d in sorted({n // math.gcd(n, l) for l in range(1, n)}):
-        if poly_divides(cyclotomic(d), coeffs):
-            zeros.update(l for l in range(1, n) if n // math.gcd(n, l) == d)
-    return ZeroPattern(n, frozenset(zeros),
-                       frozenset(range(n)) - frozenset(zeros))
+    # Divisibility by Phi_d settles a whole Galois class of l at once: l is
+    # a zero exactly when Phi_(n/gcd(n,l)) divides P, and l = 0 when Phi_1
+    # does, that is when P(1) = 0.
+    orders = {d for d in _charged_divisors(n) if _divisible(coeffs, d)}
+    zeros = frozenset(l for l in range(n) if n // math.gcd(n, l) in orders)
+    return ZeroPattern(n, zeros, frozenset(range(n)) - zeros)
 
 
 def spectrum_zero_exact(n: int, E: Iterable[int], l: int) -> bool:

@@ -50,12 +50,12 @@ def _rotate(masks: np.ndarray, n: int, a: int) -> np.ndarray:
 
 
 def _least_in_orbit(masks: np.ndarray, n: int,
-                    shifts: Optional[Iterable[int]] = None) -> np.ndarray:
+                    shifts: Iterable[int]) -> np.ndarray:
     """The masks (bit j set when j is in the set) that are the least of
     their n rotations, in their given order, comparing each with its
-    rotations by `shifts` (default all, 1..n-1).  A mask is dropped at its
-    first smaller rotation, so the array shrinks as it goes."""
-    for a in range(1, n) if shifts is None else shifts:
+    rotations by `shifts`.  A mask is dropped at its first smaller
+    rotation, so the array shrinks as it goes."""
+    for a in shifts:
         masks = masks[masks <= _rotate(masks, n, a)]
     return masks
 

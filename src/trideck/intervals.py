@@ -157,8 +157,10 @@ def partial_x_deck(E: IntervalSet, x, y) -> int:
 
 def translate_equal_sets(E: IntervalSet, F: IntervalSet,
                          tol=0) -> Optional[Fraction]:
-    """Shift a with F = E - a up to endpoint tolerance tol, else None."""
+    """Shift a with F = E - a up to endpoint tolerance tol >= 0, else None."""
     tol = _as_fraction(tol)
+    if tol < 0:
+        raise DomainError(f"tolerance must be >= 0, got {tol}")
     if len(E.intervals) != len(F.intervals):
         return None
     if not E.intervals:

@@ -17,6 +17,9 @@ import trideck
 from trideck import cli, determinacy
 from trideck.cli import (EXIT_BUDGET, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main)
 
+# the module, which the package's function of the same name hides
+cyclotomic = sys.modules["trideck.cyclotomic"]
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -128,6 +131,47 @@ class TestExitCodes:
         monkeypatch.delenv("TRIDECK_BUDGET", raising=False)
         monkeypatch.setattr(cli, "_function_from_args", unbuilt)
         code, out, err = run(capsys, *argv)
+        assert code == EXIT_BUDGET and out == ""
+        assert err.startswith("trideck: budget refusal: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["deck", "--n", "3000000", "--set", "0", "--k", "2"],
+        ["deck", "--values", ",".join(["1"] * 1001), "--k", "3"],
+        ["reconstruct", "--n", "3000000", "--set", "0"],
+        ["reconstruct", "--values", ",".join(["1"] * 501)]])
+    def test_deck_and_reconstruct_are_charged(self, capsys, monkeypatch,
+                                              argv):
+        # n^k deck entries: the refusal comes before the function, with
+        # its n Fractions, is built
+        def unbuilt(*a):
+            raise AssertionError("the function was built")
+        monkeypatch.delenv("TRIDECK_BUDGET", raising=False)
+        monkeypatch.setattr(cli, "_function_from_args", unbuilt)
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_BUDGET and out == ""
+        assert err.startswith("trideck: budget refusal: ")
+
+    def test_unsupported_deck_order_is_refused_as_such(self, capsys,
+                                                        monkeypatch):
+        # 30^7 entries are over the budget too, but no budget makes k = 7
+        # a supported order
+        monkeypatch.delenv("TRIDECK_BUDGET", raising=False)
+        code, out, err = run(capsys, "deck", "--n", "30", "--set", "0",
+                             "--k", "7")
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err == "trideck: error: deck order 7 > 6 is unsupported\n"
+
+    @pytest.mark.parametrize("command", ["zeros", "classify"])
+    def test_zero_test_is_charged(self, capsys, monkeypatch, command):
+        # n * tau(n) = 6.4 * 10^8 additions at n = 10^7: the refusal comes
+        # before the n coefficients are built or any divisor is tested
+        def unbuilt(*a):
+            raise AssertionError("the polynomial was built or tested")
+        monkeypatch.delenv("TRIDECK_BUDGET", raising=False)
+        monkeypatch.setattr(cyclotomic, "_subset_poly", unbuilt)
+        monkeypatch.setattr(cyclotomic, "_divisible", unbuilt)
+        code, out, err = run(capsys, command, "--n", "10000000", "--set",
+                             "0")
         assert code == EXIT_BUDGET and out == ""
         assert err.startswith("trideck: budget refusal: ")
 
@@ -426,6 +470,10 @@ class TestSubcommands:
         code, out, _ = run(capsys, "intervals", "translate", "--set", spec,
                            "--other", spec)
         assert json.loads(out)["shift"] == "0"
+        code, out, err = run(capsys, "intervals", "translate", "--set", spec,
+                             "--other", spec, "--tol=-1")
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err == "trideck: error: tolerance must be >= 0, got -1\n"
 
     def test_rline_cospair(self, capsys):
         code, out, _ = run(capsys, "rline", "cospair", "--k", "3",
@@ -640,6 +688,16 @@ class TestMalformedInput:
         assert code == EXIT_DOMAIN and out == ""
         assert err == ("trideck: error: deck values must be finite numbers "
                        "or rational strings\n")
+
+    def test_unsupported_deck_order_is_refused_as_such(self, capsys,
+                                                        monkeypatch):
+        # 30^7 entries are over the budget too, but no budget makes k = 7
+        # a supported order
+        monkeypatch.delenv("TRIDECK_BUDGET", raising=False)
+        code, out, err = run(capsys, "deck", "--n", "30", "--set", "0",
+                             "--k", "7")
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err == "trideck: error: deck order 7 > 6 is unsupported\n"
 
     @pytest.mark.parametrize("command", ["zeros", "classify"])
     @pytest.mark.parametrize("n", ["0", "-1"])

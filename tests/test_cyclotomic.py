@@ -1,4 +1,5 @@
 import ast
+import functools
 import itertools
 import math
 import pathlib
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 import trideck as td
 from trideck.cyclotomic import (ClassificationError, _as_fraction, _cleared,
-                                _least_rotation, _two_primes, cyclotomic,
-                                function_poly, poly_divides, poly_divmod,
+                                _divisible, _least_rotation, _two_primes,
+                                cyclotomic, function_poly,
                                 zero_pattern_of_poly)
 from trideck.errors import DomainError
 
@@ -24,6 +25,48 @@ def poly_mul(a, b):
         for j, bj in enumerate(b):
             out[i + j] += ai * bj
     return tuple(out)
+
+
+def _trim(c):
+    end = len(c)
+    while end and c[end - 1] == 0:
+        end -= 1
+    return tuple(c[:end])
+
+
+def poly_divmod(a, b):
+    """Schoolbook division of a by b, whose leading coefficient is 1 or -1:
+    (quotient, remainder), each without high zero coefficients."""
+    rem, quot = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    for deg in range(len(quot) - 1, -1, -1):
+        quot[deg] = coef = rem[deg + len(b) - 1] * b[-1]
+        for j, bj in enumerate(b):
+            rem[deg + j] -= coef * bj
+    return _trim(quot), _trim(rem[:len(b) - 1])
+
+
+@functools.cache
+def _cyclotomic_by_division(m):
+    """Phi_m as x^m - 1 divided by Phi_d for each proper divisor d."""
+    poly = (-1,) + (0,) * (m - 1) + (1,)
+    for d in range(1, m):
+        if m % d == 0:
+            poly, rem = poly_divmod(poly, _cyclotomic_by_division(d))
+            assert not rem, m
+    return poly
+
+
+def _divisible_by_division(c, d):
+    return not poly_divmod(_trim(c), _cyclotomic_by_division(d))[1]
+
+
+def _zeros_by_division(n, E):
+    """The l with chi_E_hat(l) = 0: Phi_(n/gcd(n,l)) divides P_E."""
+    P = [0] * n
+    for j in E:
+        P[j % n] += 1
+    return {l for l in range(n)
+            if _divisible_by_division(P, n // math.gcd(n, l))}
 
 
 class TestCyclotomic:
@@ -53,22 +96,38 @@ class TestCyclotomic:
             expected = next(iter(fact)) if len(fact) == 1 else 1
             assert val == expected, m
 
+    def test_matches_recursive_division(self):
+        for m in range(1, 401):
+            assert cyclotomic(m) == _cyclotomic_by_division(m), m
+
     def test_product_identity(self):
         # prod over d | n of Phi_d = x^n - 1
-        for n in (6, 12, 30):
+        for n in (*range(1, 121), 210, 2310):
             poly = (1,)
             for d in range(1, n + 1):
                 if n % d == 0:
                     poly = poly_mul(poly, cyclotomic(d))
             assert poly == tuple([-1] + [0] * (n - 1) + [1])
 
-    def test_divmod_requires_unit_lead(self):
-        with pytest.raises(DomainError):
-            poly_divmod((1, 1), (1, 2))
-
     def test_divides(self):
-        assert poly_divides(cyclotomic(3), (1, 1, 1))
-        assert not poly_divides(cyclotomic(3), (1, 0, 1))
+        assert _divisible((1, 1, 1), 3) and _divisible([0, 0, 0, 0], 3)
+        assert not _divisible((1, 0, 1), 3)
+        assert _divisible((1, -1), 1) and not _divisible((1,), 1)
+
+    @pytest.mark.parametrize("d", range(1, 61))
+    def test_divisible_matches_division(self, d):
+        # random vectors, which Phi_d seldom divides, multiples of Phi_d,
+        # and multiples with one coefficient moved by 1
+        rng = np.random.default_rng(d)
+        phi = _cyclotomic_by_division(d)
+        for _ in range(20):
+            noise = rng.integers(-3, 4, size=rng.integers(1, 2 * d + 6))
+            g = rng.integers(-3, 4, size=rng.integers(1, d + 6))
+            multiple = list(poly_mul(phi, g.tolist()))
+            moved = multiple.copy()
+            moved[rng.integers(len(moved))] += 1
+            for c in (noise.tolist(), multiple, moved):
+                assert _divisible(c, d) == _divisible_by_division(c, d), c
 
 
 class TestZeroDetection:
@@ -82,6 +141,16 @@ class TestZeroDetection:
         assert zp.zeros == {1, 2, 4, 5} and zp.support == {0, 3}
         assert td.zero_set(9, {0, 1, 2}).zeros == {3, 6}
         assert td.zero_set(7, {0}).zeros == set()
+        # 1 + x vanishes only at x = -1, so only at l = n/2; 20014 is
+        # 2 * 10007, with a divisor d whose Phi_d has degree 10006
+        assert td.zero_set(20000, {0, 1}).zeros == {10000}
+        assert td.zero_set(20014, {0, 1}).zeros == {10007}
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_zero_set_matches_division(self, n):
+        for mask in range(1 << n):
+            E = [j for j in range(n) if mask >> j & 1]
+            assert td.zero_set(n, E).zeros == _zeros_by_division(n, E), E
 
     @given(st.integers(2, 24), st.data())
     @settings(max_examples=500, deadline=None)

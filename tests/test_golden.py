@@ -63,6 +63,9 @@ CASES = [
      ["intervals", "ddx", "--set", _HIT, "--x=-1/8", "--y=-3/4"], 0),
     ("intervals_ddx_kink",
      ["intervals", "ddx", "--set", _SET, "--x=-1/4", "--y", "5/4"], 1),
+    ("zeros_over_budget", ["zeros", "--n", "10000000", "--set", "0"], 2),
+    ("deck_over_budget",
+     ["deck", "--n", "3000000", "--set", "0", "--k", "2"], 2),
 ]
 
 

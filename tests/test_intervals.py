@@ -154,3 +154,10 @@ class TestTranslateEqual:
         G = td.IntervalSet.of([(F(1, 1000), 1)])
         assert td.translate_equal_sets(E, G) is None
         assert td.translate_equal_sets(E, G, tol=F(1, 100)) is not None
+
+    def test_negative_tolerance_is_refused(self):
+        # every |difference| > tol held at tol < 0, so E was no translate
+        # of itself
+        E = td.IntervalSet.of([(0, 1)])
+        with pytest.raises(DomainError, match="tolerance must be >= 0"):
+            td.translate_equal_sets(E, E, tol=-1)
