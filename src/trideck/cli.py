@@ -140,7 +140,7 @@ def _cmd_bispectrum(args):
     # charged here, not in bispectrum(), which reconstruct's verification
     # calls under its own --budget
     _charge_function(args, 2, "bispectrum")
-    return bispectrum(_function_from_args(args)).to_json_dict()
+    return bispectrum(_function_from_args(args)).to_json()
 
 
 def _cmd_reconstruct(args):

@@ -330,6 +330,28 @@ class Bispectrum:
         return {"n": self.n, "convention": "positive-exponent",
                 "values": np.stack((v.real, v.imag), axis=1).tolist()}
 
+    def to_json(self) -> str:
+        """The file text: json.dumps(self.to_json_dict(), indent=2,
+        sort_keys=True) and a final newline, built in one join.  A finite
+        float's text is repr, as json.dumps writes it; the others are
+        NaN, Infinity and -Infinity.  Each distinct float, told apart by
+        its bits so that -0.0 stays apart from 0.0, is formatted once: B is
+        symmetric bit for bit, as bispectrum builds it, so about half are
+        repeats."""
+        v = self.values.reshape(-1)
+        parts = np.stack((v.real, v.imag), axis=1).reshape(-1)
+        u, inverse = np.unique(parts.view(np.uint64), return_inverse=True)
+        named = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+        texts = [named.get(t, t)
+                 for t in map(repr, u.view(np.float64).tolist())]
+        tokens = np.array(texts, dtype=object)[inverse].tolist()
+        pairs = map(",\n      ".join, zip(tokens[::2], tokens[1::2]))
+        head = json.dumps({"convention": "positive-exponent", "n": self.n},
+                          indent=2, sort_keys=True)
+        # head ends in "\n}", and "values" sorts after its keys
+        return (f'{head[:-2]},\n  "values": [\n    [\n      '
+                + "\n    ],\n    [\n      ".join(pairs) + "\n    ]\n  ]\n}\n")
+
 
 def dft(f: CyclicFunction) -> Spectrum:
     """Fast transform; positive exponent, so it is n * ifft of the values."""

@@ -152,7 +152,10 @@ def _divisible(coeffs: Sequence[int], d: int) -> bool:
 def _charged_divisors(n: int) -> list[int]:
     """The divisors of n, once the n * tau(n) additions that fold a
     polynomial mod x^d - 1 for every d | n are charged to the compute
-    budget.  n alone is charged first, so only a small n is factorized."""
+    budget, and then the binomial steps of _divisible: for each d, 2^omega(d)
+    multiplications or divisions by an x^e - 1, each over a list of at most
+    d + sum(down) entries.  n alone is charged first, so only a small n is
+    factorized."""
     if n < 1:
         raise DomainError(f"modulus must be >= 1, got {n}")
     budget, divisors = compute_budget(), [1]
@@ -162,6 +165,13 @@ def _charged_divisors(n: int) -> list[int]:
     if n * len(divisors) > budget:
         raise BudgetError(f"the zero test at n={n} takes n * tau(n) "
                           "additions, over the compute budget")
+    steps = 0
+    for d in divisors:
+        up, down = _binomials(d)
+        steps += (len(up) + len(down)) * (d + sum(down))
+    if steps > budget:
+        raise BudgetError(f"the zero test at n={n} takes {steps} steps of "
+                          "binomial products, over the compute budget")
     return divisors
 
 

@@ -102,7 +102,15 @@ def three_deck_grid(f: SampledFunction, max_offset: Optional[int] = None,
 
     The sum over t runs in blocks of _GRID_BLOCK samples, so each block's
     shift rows S[a, s] = f_{t+s+offsets[a]} stay in cache; they are
-    _shift_windows rows."""
+    _shift_windows rows.
+
+    N(x, y) depends only on the multiset {0, x, y} up to translation, and
+    the translate that puts its middle point at 0 is {-a, 0, b}, with
+    a = mid - lo and b = hi - mid for lo <= mid <= hi the sorted {0, x, y}.
+    When stride divides max_offset, 0 is on the offset grid, and a and b
+    are at most max_offset: every value is in the quadrant x <= 0 <= y,
+    (J+1)^2 sums for J = max_offset / stride in place of (2J+1)^2.  Other
+    strides sum every pair."""
     if stride < 1:
         raise DomainError(f"grid deck stride must be >= 1, got {stride}")
     v = f.values
@@ -115,11 +123,22 @@ def three_deck_grid(f: SampledFunction, max_offset: Optional[int] = None,
         raise BudgetError(f"grid deck cost {cost} exceeds budget")
     offsets = np.arange(-m, m + 1, stride)
     windows, rows = _shift_windows(v, offsets, _GRID_BLOCK)
-    N = np.zeros((len(offsets), len(offsets)))
+    K, J = len(offsets), m // stride
+    quadrant = m % stride == 0
+    # rows x = -J..0 and columns y = 0..J strides, or every offset in both
+    nx, y0 = (J + 1, J) if quadrant else (K, 0)
+    N = np.zeros((nx, K - y0))
     for t in range(0, L, _GRID_BLOCK):
         w = v[t:t + _GRID_BLOCK]
         S = windows[rows + t, :len(w)]
-        N += (S * w) @ S.T
+        N += (S[:nx] * w) @ S[y0:].T
+    if quadrant:  # in strides, N(x, y) = N(-a, b), at [J - a, b] here
+        x = np.arange(-J, J + 1)[:, None]
+        y = x.T
+        lo = np.minimum(np.minimum(x, y), 0)
+        hi = np.maximum(np.maximum(x, y), 0)
+        mid = x + y - lo - hi
+        N = N[J - mid + lo, hi - mid]
     return GridDeck(f.h, offsets, f.h * N)
 
 
@@ -141,10 +160,9 @@ def deck_at(f: SampledFunction, bins: Sequence[int]) -> float:
 
 def _psi(x: np.ndarray) -> np.ndarray:
     """(sin(pi x / 2) / (pi x))^2 with the removable singularity psi(0)=1/4."""
-    out = np.empty_like(x)
-    nz = x != 0
-    out[nz] = (np.sin(np.pi * x[nz] / 2) / (np.pi * x[nz])) ** 2
-    out[~nz] = 0.25
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at x = 0
+        out = (np.sin(np.pi * x / 2) / (np.pi * x)) ** 2
+    out[x == 0] = 0.25
     return out
 
 
@@ -219,6 +237,14 @@ def _smooth_size(n: int) -> int:
     return best
 
 
+def _subtract_cyclic(buf: np.ndarray, start: int, vals: np.ndarray) -> None:
+    """buf[(start + j) % len(buf)] -= vals[j], for len(vals) <= len(buf)."""
+    start %= len(buf)
+    cut = len(buf) - start
+    buf[start:start + len(vals)] -= vals[:cut]
+    buf[:max(len(vals) - cut, 0)] -= vals[cut:]
+
+
 def shift_scan_distance(f: SampledFunction, g: SampledFunction) -> float:
     """min over integer-grid shifts (and half-bin offsets) of
     ||f - g(.-a)||_2 / ||f||_2; the non-translate certificate at grid scale.
@@ -232,12 +258,16 @@ def shift_scan_distance(f: SampledFunction, g: SampledFunction) -> float:
     fv, gv = f.values, g.values
     lf, lg = len(fv), len(gv)
     size = _smooth_size(lf + lg - 1)
-    corr = np.fft.irfft(np.fft.rfft(fv, size)
-                        * np.conj(np.fft.rfft(gv, size)), size)
-    fpad = np.zeros(size)
-    fpad[:lf] = fv
-    half = 0.5 * (corr + np.roll(corr, 1)
-                  - np.roll(fpad, 1 - lg) * gv[-1] - np.roll(fpad, 1) * gv[0])
+    spec = np.fft.rfft(fv, size)
+    spec *= np.conj(np.fft.rfft(gv, size))
+    corr = np.fft.irfft(spec, size)
+    half = np.empty(size)
+    np.add(corr[1:], corr[:-1], out=half[1:])
+    half[0] = corr[0] + corr[-1]
+    # the end terms are nonzero only on the lags where f's window lands
+    _subtract_cyclic(half, 1 - lg, fv * gv[-1])
+    _subtract_cyclic(half, 1, fv * gv[0])
+    half *= 0.5
     gh = 0.5 * (gv[:-1] + gv[1:])
     nf2 = float(np.dot(fv, fv))
     best = np.inf

@@ -175,6 +175,30 @@ class TestExitCodes:
         assert code == EXIT_BUDGET and out == ""
         assert err.startswith("trideck: budget refusal: ")
 
+    @pytest.mark.parametrize("command", ["zeros", "classify"])
+    def test_zero_test_binomial_steps_are_charged(self, capsys, monkeypatch,
+                                                  command):
+        # 510510 = 2*3*5*7*11*13*17: its n * tau(n) = 6.5 * 10^7 additions
+        # pass the default budget, but Phi_510510 alone is tested through
+        # 128 binomials over lists of about 1.3 * 10^6 entries; the refusal
+        # comes before the n coefficients are built or any divisor is tested
+        def unbuilt(*a):
+            raise AssertionError("the polynomial was built or tested")
+        monkeypatch.delenv("TRIDECK_BUDGET", raising=False)
+        monkeypatch.setattr(cyclotomic, "_subset_poly", unbuilt)
+        monkeypatch.setattr(cyclotomic, "_divisible", unbuilt)
+        code, out, err = run(capsys, command, "--n", "510510", "--set",
+                             "0,1")
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert err == ("trideck: budget refusal: the zero test at n=510510 "
+                       "takes 297059175 steps of binomial products, over "
+                       "the compute budget\n")
+
+    def test_zero_test_under_both_charges_runs(self, capsys, monkeypatch):
+        monkeypatch.delenv("TRIDECK_BUDGET", raising=False)
+        code, out, _ = run(capsys, "zeros", "--n", "20000", "--set", "0,1")
+        assert code == EXIT_OK and json.loads(out)["zeros"] == [10000]
+
     def test_gm_decks_are_charged(self, capsys, monkeypatch):
         # n = 4 088 468: the refusal comes before any set is built
         def unbuilt(*a):

@@ -456,6 +456,24 @@ class TestBispectrum:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_text_is_json_dumps(self, seed):
+        # random complex entries with NaN, infinities, signed zeros and
+        # repeats among them, and the bispectrum of a random function
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 24))
+        parts = rng.normal(size=(2, n, n)) * 10.0 ** rng.integers(-20, 20)
+        odd = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1e300, 0.5]
+        flat = parts.reshape(-1)
+        spots = rng.integers(0, flat.size, int(rng.integers(0, 12)))
+        flat[spots] = rng.choice(odd, len(spots))
+        values = np.empty((n, n), dtype=complex)
+        values.real, values.imag = parts
+        f = td.CyclicFunction.of(rng.integers(0, 9, n).tolist())
+        for B in (td.Bispectrum(n, values), td.bispectrum(f)):
+            want = json.dumps(B.to_json_dict(), indent=2, sort_keys=True)
+            assert B.to_json() == want + "\n"
+
     def test_wrong_order_rejected(self):
         with pytest.raises(DomainError):
             td.bispectrum_from_deck(td.k_deck(td.CyclicFunction.of([1, 2]), 2))

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import trideck as td
 from trideck.errors import BudgetError, DomainError, InvalidExponentsError
-from trideck.realline import _GRID_BLOCK, _psi, correlation_tensor
+from trideck.realline import (_GRID_BLOCK, _psi, _shift_windows,
+                              _smooth_size, correlation_tensor)
 
 
 def random_grids(length=96, h=1 / 32):
@@ -26,6 +27,49 @@ def _shift_stack(values, offsets):
         if lo < hi:
             S[a, lo:hi] = values[lo + off:hi + off]
     return S
+
+
+def _grid_every_pair(f, m, stride):
+    """three_deck_grid's values summed over every pair of the offset grid,
+    block by block, as the loop for strides that do not divide m runs."""
+    v = f.values
+    offsets = np.arange(-m, m + 1, stride)
+    windows, rows = _shift_windows(v, offsets, _GRID_BLOCK)
+    N = np.zeros((len(offsets), len(offsets)))
+    for t in range(0, len(v), _GRID_BLOCK):
+        w = v[t:t + _GRID_BLOCK]
+        S = windows[rows + t, :len(w)]
+        N += (S * w) @ S.T
+    return f.h * N
+
+
+def _shift_scan_rolled(fv, gv):
+    """shift_scan_distance with the half-bin correlation built from
+    np.roll copies of the correlation and of f zero-padded to its size."""
+    lf, lg = len(fv), len(gv)
+    size = _smooth_size(lf + lg - 1)
+    corr = np.fft.irfft(np.fft.rfft(fv, size)
+                        * np.conj(np.fft.rfft(gv, size)), size)
+    fpad = np.zeros(size)
+    fpad[:lf] = fv
+    half = 0.5 * (corr + np.roll(corr, 1)
+                  - np.roll(fpad, 1 - lg) * gv[-1] - np.roll(fpad, 1) * gv[0])
+    gh = 0.5 * (gv[:-1] + gv[1:])
+    nf2 = float(np.dot(fv, fv))
+    best = np.inf
+    for c, gg in ((corr, gv), (half, gh)):
+        d2 = nf2 + float(np.dot(gg, gg)) - 2 * float(np.max(c))
+        best = min(best, max(d2, 0.0))
+    return float(np.sqrt(best) / np.sqrt(nf2))
+
+
+def _psi_masked(x):
+    """_psi evaluated on the nonzero x alone, through boolean masks."""
+    out = np.empty_like(x)
+    nz = x != 0
+    out[nz] = (np.sin(np.pi * x[nz] / 2) / (np.pi * x[nz])) ** 2
+    out[~nz] = 0.25
+    return out
 
 
 def _direct_shift_scan(fv, gv):
@@ -105,6 +149,41 @@ class TestGridDecks:
         if max_offset is not None and max_offset >= L:
             assert not np.any(deck.values[0])  # a shift past L reads zeros
 
+    @pytest.mark.parametrize("L, max_offset, stride", [
+        (7, 0, 1), (7, 0, 5), (40, 40, 8), (40, 96, 12), (40, 40, 40),
+        (13, None, 4), (2 * _GRID_BLOCK + 3, 64, 16),
+        (2 * _GRID_BLOCK + 3, 2 * _GRID_BLOCK + 2, 38)])
+    def test_quadrant_path_matches_one_matmul(self, L, max_offset, stride):
+        # stride | max_offset: m = 0, offsets past L, a grid of one stride
+        # each way, and sums over more than one block
+        vals = np.random.default_rng(L + stride).random(L)
+        f = td.SampledFunction(0.5, 0.0, vals)
+        deck = td.three_deck_grid(f, max_offset, stride)
+        S = _shift_stack(vals, deck.offsets)
+        want = f.h * ((S * vals) @ S.T)
+        assert np.max(np.abs(deck.values - want)) <= 1e-12 * np.max(want)
+
+    @given(random_grids(length=48), st.integers(1, 9), st.integers(0, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_quadrant_path_on_random_grids(self, f, stride, J):
+        deck = td.three_deck_grid(f, J * stride, stride)
+        S = _shift_stack(f.values, deck.offsets)
+        want = f.h * ((S * f.values) @ S.T)
+        scale = max(np.max(np.abs(want)), 1e-300)
+        assert np.max(np.abs(deck.values - want)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("L, max_offset, stride", [
+        (5, 4, 3), (50, 20, 3), (40, 100, 7), (600, 100, 7),
+        (3 * _GRID_BLOCK + 7, 3 * _GRID_BLOCK + 50, 97)])
+    def test_other_strides_sum_every_pair(self, L, max_offset, stride):
+        # a stride that does not divide max_offset keeps the loop over
+        # every pair, bit for bit
+        vals = np.random.default_rng(L).random(L)
+        f = td.SampledFunction(0.5, 0.0, vals)
+        deck = td.three_deck_grid(f, max_offset, stride)
+        want = _grid_every_pair(f, max_offset, stride)
+        assert deck.values.tobytes() == want.tobytes()
+
     def test_grid_matches_exact_intervals(self):
         E = td.IntervalSet.of([(0, 1), ("3/2", 2)])
         h = 1 / 128
@@ -160,6 +239,12 @@ class TestCounterexamplePairs:
         assert vals[0] == 0.25
         assert vals[1] == pytest.approx(0.25, rel=1e-6)
         assert vals[2] == pytest.approx((np.sin(np.pi / 2) / np.pi) ** 2)
+
+    def test_psi_matches_masked_evaluation(self):
+        rng = np.random.default_rng(3)
+        for x in (-64 + np.arange(32769) / 256, -32 + np.arange(4097) / 64,
+                  np.concatenate([[0.0, -0.0], rng.normal(0, 20, 999)])):
+            assert _psi(x).tobytes() == _psi_masked(x).tobytes()
 
     def test_cos_pair_decks_agree(self):
         f, g = td.cos_pair(3, h=1 / 64, half_width=32.0, tail_tol=0.05)
@@ -219,6 +304,21 @@ class TestCounterexamplePairs:
                                          td.SampledFunction(0.1, 0.0, gv))
             assert got == pytest.approx(_direct_shift_scan(fv, gv),
                                         rel=1e-12)
+
+    def test_shift_scan_matches_rolled_buffers(self):
+        # bit for bit, on unequal lengths, on one-sample g (lg = 1) and f,
+        # and on the default cospair grid
+        rng = np.random.default_rng(11)
+        cases = [(rng.random(rng.integers(1, 300)),
+                  rng.random(rng.integers(1, 300))) for _ in range(150)]
+        cases += [(rng.random(n), rng.random(1)) for n in (1, 2, 7, 64)]
+        cases += [(rng.random(1), rng.random(n)) for n in (2, 7, 64)]
+        f, g = td.cos_pair(3)
+        cases.append((f.values, g.values))
+        for fv, gv in cases:
+            got = td.shift_scan_distance(td.SampledFunction(0.1, 0.0, fv),
+                                         td.SampledFunction(0.1, 0.0, gv))
+            assert got == _shift_scan_rolled(fv, gv), (len(fv), len(gv))
 
     def test_shift_scan_zero_for_translates(self):
         vals = np.zeros(512)
