@@ -32,7 +32,9 @@ SECONDS = 30
 # correlations, and as 2 K^2 L flops over every pair of the grid deck's K
 # offsets; shift_scan_distance is an FFT correlation, so the first overstates
 # the work by orders of magnitude, and the grid deck sums only the (J+1)^2
-# offsets x <= 0 <= y when the stride divides max_offset, about 4x fewer.
+# offsets x <= 0 <= y, J = max_offset // stride, about 4x fewer.  perfbench
+# takes K = len(range(-max_offset, max_offset + 1, stride)), the deck's 2J+1
+# offsets whenever the stride divides max_offset and up to one more when not.
 STALE_METRICS = ("realline.shift_scan_macs", "realline.grid_deck_flops")
 
 

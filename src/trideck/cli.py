@@ -323,7 +323,9 @@ _ZEROS = [("--n", _REQUIRED_INT), ("--set", {**_SUBSET, **_REQUIRED}),
 _PAIR = [_K3, ("--h", {"default": "1/256"}),
          ("--half-width", {"type": float, "default": 64.0}),
          ("--tail-tol", {"type": float, "default": 1e-2}),
-         ("--max-x", {"default": "2", "help": "deck comparison window"}),
+         ("--max-x", {"default": "2", "help": "deck comparison window: "
+                      "the grid deck's offsets are the multiples of --stride "
+                      "bins within +-MAX_X, summed once per orbit"}),
          ("--stride", {"type": int, "default": 32})]
 
 # Every command, in the order `trideck --help` lists them.  A dict is a

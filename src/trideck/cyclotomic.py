@@ -202,15 +202,20 @@ class ZeroPattern:
 
 
 def zero_set(n: int, E: Iterable[int]) -> ZeroPattern:
-    _charged_divisors(n)  # before the n coefficients are built
-    return zero_pattern_of_poly(n, _subset_poly(n, E))
+    divisors = _charged_divisors(n)  # before the n coefficients are built
+    return _zero_pattern(n, _subset_poly(n, E), divisors)
 
 
 def zero_pattern_of_poly(n: int, coeffs: Sequence[int]) -> ZeroPattern:
+    return _zero_pattern(n, coeffs, _charged_divisors(n))
+
+
+def _zero_pattern(n: int, coeffs: Sequence[int],
+                  divisors: list[int]) -> ZeroPattern:
     # Divisibility by Phi_d settles a whole Galois class of l at once: l is
     # a zero exactly when Phi_(n/gcd(n,l)) divides P, and l = 0 when Phi_1
     # does, that is when P(1) = 0.
-    orders = {d for d in _charged_divisors(n) if _divisible(coeffs, d)}
+    orders = {d for d in divisors if _divisible(coeffs, d)}
     zeros = frozenset(l for l in range(n) if n // math.gcd(n, l) in orders)
     return ZeroPattern(n, zeros, frozenset(range(n)) - zeros)
 

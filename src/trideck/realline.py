@@ -97,8 +97,8 @@ def _shift_windows(v: np.ndarray, offsets: np.ndarray,
 def three_deck_grid(f: SampledFunction, max_offset: Optional[int] = None,
                     stride: int = 1, budget: Optional[int] = None) -> GridDeck:
     """Left-Riemann 3-deck N(i,j) = h * sum_t f_t f_{t+i} f_{t+j} on the
-    zero-padded grid, at bin offsets |i|,|j| <= max_offset (default: the
-    full support width).
+    zero-padded grid, at the bin offsets stride * (-J..J), the multiples of
+    the stride within +-max_offset (default: the full support width).
 
     The sum over t runs in blocks of _GRID_BLOCK samples, so each block's
     shift rows S[a, s] = f_{t+s+offsets[a]} stay in cache; they are
@@ -107,10 +107,8 @@ def three_deck_grid(f: SampledFunction, max_offset: Optional[int] = None,
     N(x, y) depends only on the multiset {0, x, y} up to translation, and
     the translate that puts its middle point at 0 is {-a, 0, b}, with
     a = mid - lo and b = hi - mid for lo <= mid <= hi the sorted {0, x, y}.
-    When stride divides max_offset, 0 is on the offset grid, and a and b
-    are at most max_offset: every value is in the quadrant x <= 0 <= y,
-    (J+1)^2 sums for J = max_offset / stride in place of (2J+1)^2.  Other
-    strides sum every pair."""
+    0 is on the offset grid and a, b are at most J strides, so every value
+    is in the quadrant x <= 0 <= y: (J+1)^2 sums, not (2J+1)^2."""
     if stride < 1:
         raise DomainError(f"grid deck stride must be >= 1, got {stride}")
     v = f.values
@@ -118,28 +116,28 @@ def three_deck_grid(f: SampledFunction, max_offset: Optional[int] = None,
     m = L - 1 if max_offset is None else int(max_offset)
     if m < 0:
         raise DomainError(f"grid deck max_offset must be >= 0, got {m}")
-    cost = len(range(-m, m + 1, stride)) ** 2 * L  # charged before allocated
+    J = m // stride
+    cost = (2 * J + 1) ** 2 * L  # charged before allocated
     if cost > compute_budget(budget):
         raise BudgetError(f"grid deck cost {cost} exceeds budget")
-    offsets = np.arange(-m, m + 1, stride)
+    if J * stride >= 2**63:
+        raise DomainError(f"grid deck offsets reach {J * stride}, past int64")
+    # with J = 0 the stride scales no offset, and may itself be past int64
+    offsets = np.arange(-J, J + 1) * (stride if J else 0)
     windows, rows = _shift_windows(v, offsets, _GRID_BLOCK)
-    K, J = len(offsets), m // stride
-    quadrant = m % stride == 0
-    # rows x = -J..0 and columns y = 0..J strides, or every offset in both
-    nx, y0 = (J + 1, J) if quadrant else (K, 0)
-    N = np.zeros((nx, K - y0))
+    # rows x = -J..0 and columns y = 0..J strides
+    N = np.zeros((J + 1, J + 1))
     for t in range(0, L, _GRID_BLOCK):
         w = v[t:t + _GRID_BLOCK]
         S = windows[rows + t, :len(w)]
-        N += (S[:nx] * w) @ S[y0:].T
-    if quadrant:  # in strides, N(x, y) = N(-a, b), at [J - a, b] here
-        x = np.arange(-J, J + 1)[:, None]
-        y = x.T
-        lo = np.minimum(np.minimum(x, y), 0)
-        hi = np.maximum(np.maximum(x, y), 0)
-        mid = x + y - lo - hi
-        N = N[J - mid + lo, hi - mid]
-    return GridDeck(f.h, offsets, f.h * N)
+        N += (S[:J + 1] * w) @ S[J:].T
+    # in strides, N(x, y) = N(-a, b), at [J - a, b] here
+    x = np.arange(-J, J + 1)[:, None]
+    y = x.T
+    lo = np.minimum(np.minimum(x, y), 0)
+    hi = np.maximum(np.maximum(x, y), 0)
+    mid = x + y - lo - hi
+    return GridDeck(f.h, offsets, f.h * N[J - mid + lo, hi - mid])
 
 
 def deck_at(f: SampledFunction, bins: Sequence[int]) -> float:
@@ -269,10 +267,11 @@ def shift_scan_distance(f: SampledFunction, g: SampledFunction) -> float:
     _subtract_cyclic(half, 1, fv * gv[0])
     half *= 0.5
     gh = 0.5 * (gv[:-1] + gv[1:])
-    nf2 = float(np.dot(fv, fv))
+    # einsum, not np.dot's threaded BLAS: the same sums on any thread count
+    nf2 = float(np.einsum("i,i->", fv, fv))
     best = np.inf
     for c, gg in ((corr, gv), (half, gh)):  # whole- and half-bin grids
-        d2 = nf2 + float(np.dot(gg, gg)) - 2 * float(np.max(c))
+        d2 = nf2 + float(np.einsum("i,i->", gg, gg)) - 2 * float(np.max(c))
         best = min(best, max(d2, 0.0))
     return float(np.sqrt(best) / np.sqrt(nf2))
 

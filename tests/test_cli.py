@@ -508,6 +508,36 @@ class TestSubcommands:
         assert res["deck_rel_error"] < 1e-6
         assert res["shift_scan_distance"] > 0.05
 
+    @pytest.mark.parametrize("argv", [
+        ("--stride", "48"), ("--max-x", "200", "--stride", "100000"),
+        ("--stride", "100000000000000000000")])
+    def test_rline_cospair_any_stride(self, capsys, argv):
+        # the grid is the multiples of the stride within --max-x, 0 among
+        # them, down to the one offset 0 of a stride past the window
+        code, out, _ = run(capsys, "rline", "cospair", *argv)
+        res = json.loads(out)
+        assert code == EXIT_OK
+        assert res["deck_rel_error"] <= 1e-12
+        assert res["shift_scan_distance"] > 0.05
+
+    def test_rline_cospair_offsets_past_int64(self, capsys):
+        # 1e17 * 256 bins hold two strides of 10^19, past int64
+        code, out, err = run(capsys, "rline", "cospair", "--max-x", "1e17",
+                             "--stride", "10000000000000000000")
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err == ("trideck: error: grid deck offsets reach "
+                       "20000000000000000000, past int64\n")
+
+    def test_rline_cospair_same_on_any_blas_thread_count(self):
+        src = os.path.dirname(os.path.dirname(trideck.__file__))
+        outs = [subprocess.run(
+            [sys.executable, "-m", "trideck.cli", "rline", "cospair"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src,
+                 "OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")]
+        assert outs[0] == outs[1]
+
     def test_rline_stability(self, capsys, tmp_path):
         import trideck as td
         g = td.SampledFunction(1 / 64, 0.0, np.ones(64))

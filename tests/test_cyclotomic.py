@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import pathlib
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,8 @@ from trideck.cyclotomic import (ClassificationError, _as_fraction, _cleared,
                                 cyclotomic, function_poly,
                                 zero_pattern_of_poly)
 from trideck.errors import DomainError
+
+cyclotomic_module = sys.modules["trideck.cyclotomic"]
 
 
 def poly_mul(a, b):
@@ -145,6 +148,17 @@ class TestZeroDetection:
         # 2 * 10007, with a divisor d whose Phi_d has degree 10006
         assert td.zero_set(20000, {0, 1}).zeros == {10000}
         assert td.zero_set(20014, {0, 1}).zeros == {10007}
+
+    def test_zero_test_charged_once(self, monkeypatch):
+        # one charge, so one factorization of n, per zero test
+        calls = []
+        charge = cyclotomic_module._charged_divisors
+        monkeypatch.setattr(cyclotomic_module, "_charged_divisors",
+                            lambda n: calls.append(n) or charge(n))
+        assert td.zero_set(12, {0, 2, 4}).zeros == {2, 4, 8, 10}
+        assert calls == [12]
+        assert zero_pattern_of_poly(9, (1, 1, 1)).zeros == {3, 6}
+        assert calls == [12, 9]
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_zero_set_matches_division(self, n):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import trideck as td
 from trideck.errors import BudgetError, DomainError, InvalidExponentsError
-from trideck.realline import (_GRID_BLOCK, _psi, _shift_windows,
-                              _smooth_size, correlation_tensor)
+from trideck.realline import (_GRID_BLOCK, _psi, _smooth_size,
+                              correlation_tensor)
 
 
 def random_grids(length=96, h=1 / 32):
@@ -29,18 +29,19 @@ def _shift_stack(values, offsets):
     return S
 
 
-def _grid_every_pair(f, m, stride):
-    """three_deck_grid's values summed over every pair of the offset grid,
-    block by block, as the loop for strides that do not divide m runs."""
-    v = f.values
-    offsets = np.arange(-m, m + 1, stride)
-    windows, rows = _shift_windows(v, offsets, _GRID_BLOCK)
-    N = np.zeros((len(offsets), len(offsets)))
-    for t in range(0, len(v), _GRID_BLOCK):
-        w = v[t:t + _GRID_BLOCK]
-        S = windows[rows + t, :len(w)]
-        N += (S * w) @ S.T
-    return f.h * N
+def _assert_one_matmul(f, max_offset, stride):
+    """three_deck_grid against one product of full shift rows, on the int64
+    multiples of the stride within max_offset, with N(0, 0) = h sum f^3."""
+    deck = td.three_deck_grid(f, max_offset, stride)
+    J = (len(f.values) - 1 if max_offset is None else max_offset) // stride
+    assert deck.offsets.dtype == np.int64
+    assert deck.offsets.tolist() == [stride * j for j in range(-J, J + 1)]
+    S = _shift_stack(f.values, deck.offsets)
+    want = f.h * ((S * f.values) @ S.T)
+    assert np.max(np.abs(deck.values - want)) <= 1e-12 * np.max(want)
+    cube = f.h * np.sum(f.values**3)
+    assert abs(deck.values[J, J] - cube) <= 1e-12 * cube
+    return deck
 
 
 def _shift_scan_rolled(fv, gv):
@@ -55,10 +56,10 @@ def _shift_scan_rolled(fv, gv):
     half = 0.5 * (corr + np.roll(corr, 1)
                   - np.roll(fpad, 1 - lg) * gv[-1] - np.roll(fpad, 1) * gv[0])
     gh = 0.5 * (gv[:-1] + gv[1:])
-    nf2 = float(np.dot(fv, fv))
+    nf2 = float(np.einsum("i,i->", fv, fv))
     best = np.inf
     for c, gg in ((corr, gv), (half, gh)):
-        d2 = nf2 + float(np.dot(gg, gg)) - 2 * float(np.max(c))
+        d2 = nf2 + float(np.einsum("i,i->", gg, gg)) - 2 * float(np.max(c))
         best = min(best, max(d2, 0.0))
     return float(np.sqrt(best) / np.sqrt(nf2))
 
@@ -138,51 +139,31 @@ class TestGridDecks:
         (5, None, 1), (3 * _GRID_BLOCK + 7, 40, 1),
         (3 * _GRID_BLOCK + 7, 3 * _GRID_BLOCK + 50, 97)])
     def test_blocks_match_one_matmul(self, L, max_offset, stride):
-        # the blocked sum against one product of full shift rows, with
-        # offsets past the support when max_offset >= L
+        # the blocked sum, with offsets past the support when max_offset >= L
         vals = np.random.default_rng(L).random(L)
-        f = td.SampledFunction(0.5, 0.0, vals)
-        deck = td.three_deck_grid(f, max_offset, stride)
-        S = _shift_stack(vals, deck.offsets)
-        want = f.h * ((S * vals) @ S.T)
-        assert np.max(np.abs(deck.values - want)) <= 1e-12 * np.max(want)
+        deck = _assert_one_matmul(td.SampledFunction(0.5, 0.0, vals),
+                                  max_offset, stride)
         if max_offset is not None and max_offset >= L:
             assert not np.any(deck.values[0])  # a shift past L reads zeros
 
     @pytest.mark.parametrize("L, max_offset, stride", [
         (7, 0, 1), (7, 0, 5), (40, 40, 8), (40, 96, 12), (40, 40, 40),
         (13, None, 4), (2 * _GRID_BLOCK + 3, 64, 16),
-        (2 * _GRID_BLOCK + 3, 2 * _GRID_BLOCK + 2, 38)])
-    def test_quadrant_path_matches_one_matmul(self, L, max_offset, stride):
-        # stride | max_offset: m = 0, offsets past L, a grid of one stride
-        # each way, and sums over more than one block
-        vals = np.random.default_rng(L + stride).random(L)
-        f = td.SampledFunction(0.5, 0.0, vals)
-        deck = td.three_deck_grid(f, max_offset, stride)
-        S = _shift_stack(vals, deck.offsets)
-        want = f.h * ((S * vals) @ S.T)
-        assert np.max(np.abs(deck.values - want)) <= 1e-12 * np.max(want)
-
-    @given(random_grids(length=48), st.integers(1, 9), st.integers(0, 12))
-    @settings(max_examples=60, deadline=None)
-    def test_quadrant_path_on_random_grids(self, f, stride, J):
-        deck = td.three_deck_grid(f, J * stride, stride)
-        S = _shift_stack(f.values, deck.offsets)
-        want = f.h * ((S * f.values) @ S.T)
-        scale = max(np.max(np.abs(want)), 1e-300)
-        assert np.max(np.abs(deck.values - want)) <= 1e-12 * scale
-
-    @pytest.mark.parametrize("L, max_offset, stride", [
+        (2 * _GRID_BLOCK + 3, 2 * _GRID_BLOCK + 2, 38),
         (5, 4, 3), (50, 20, 3), (40, 100, 7), (600, 100, 7),
-        (3 * _GRID_BLOCK + 7, 3 * _GRID_BLOCK + 50, 97)])
-    def test_other_strides_sum_every_pair(self, L, max_offset, stride):
-        # a stride that does not divide max_offset keeps the loop over
-        # every pair, bit for bit
-        vals = np.random.default_rng(L).random(L)
-        f = td.SampledFunction(0.5, 0.0, vals)
-        deck = td.three_deck_grid(f, max_offset, stride)
-        want = _grid_every_pair(f, max_offset, stride)
-        assert deck.values.tobytes() == want.tobytes()
+        (3 * _GRID_BLOCK + 7, 3 * _GRID_BLOCK + 50, 97), (7, 5, 10**20)])
+    def test_quadrant_path_matches_one_matmul(self, L, max_offset, stride):
+        # m = 0, offsets past L, a grid of one stride each way, sums over
+        # more than one block, strides that do not divide max_offset, and a
+        # stride past int64 that leaves the one offset 0
+        vals = np.random.default_rng(L + stride).random(L)
+        _assert_one_matmul(td.SampledFunction(0.5, 0.0, vals), max_offset,
+                           stride)
+
+    @given(random_grids(length=48), st.integers(1, 9), st.integers(0, 120))
+    @settings(max_examples=60, deadline=None)
+    def test_quadrant_path_on_random_grids(self, f, stride, max_offset):
+        _assert_one_matmul(f, max_offset, stride)
 
     def test_grid_matches_exact_intervals(self):
         E = td.IntervalSet.of([(0, 1), ("3/2", 2)])
@@ -219,7 +200,8 @@ class TestGridDecks:
         assert td.deck_at(f, (7,)) == f.h * 1.0 * 8.0
 
     @pytest.mark.parametrize("kwargs", [
-        {"stride": 0}, {"stride": -1}, {"max_offset": -2}])
+        {"stride": 0}, {"stride": -1}, {"max_offset": -2},
+        {"max_offset": 10**20, "stride": 10**19}])
     def test_grid_arguments_in_range(self, kwargs):
         f = td.SampledFunction(1 / 16, 0.0, np.arange(8.0))
         with pytest.raises(DomainError):
