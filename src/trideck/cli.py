@@ -231,6 +231,7 @@ def _pair_summary(f: SampledFunction, g: SampledFunction, args):
     err = float(np.max(np.abs(Nf.values - Ng.values))) / scale
     return {
         "h": f.h, "samples": len(f.values),
+        "grid_offsets": len(Nf.offsets),
         "deck_rel_error": err,
         "shift_scan_distance": shift_scan_distance(f, g),
     }

@@ -60,7 +60,7 @@ class CyclicFunction:
     @classmethod
     def of(cls, values: Iterable) -> "CyclicFunction":
         vals = tuple(_as_fraction(v) for v in values)
-        if any(v < 0 for v in vals):
+        if any(v.numerator < 0 for v in vals):  # denominators are > 0
             raise DomainError("values must be nonnegative")
         return cls(len(vals), vals)
 
@@ -411,9 +411,17 @@ def k_deck(f: CyclicFunction, k: int, budget: Optional[int] = None) -> KDeck:
         raise DomainError(f"deck order must be >= 2, got {k}")
     if k > MAX_DECK_ORDER:
         raise DomainError(f"deck order {k} > {MAX_DECK_ORDER} is unsupported")
+    if f.n**k > compute_budget(budget):
+        raise BudgetError(f"k_deck size n^k = {f.n}^{k} exceeds budget")
+    return _exact_deck(f, k)
+
+
+def _exact_deck(f: CyclicFunction, k: int) -> KDeck:
+    """The exact k-deck of k_deck, 2 <= k <= MAX_DECK_ORDER, in the same
+    tiers but with no charge to the compute budget, so that checking a
+    result against a deck the caller already holds, of the same size, does
+    not fail on the budget."""
     n = f.n
-    if n**k > compute_budget(budget):
-        raise BudgetError(f"k_deck size n^k = {n}^{k} exceeds budget")
     ints, denom = _cleared(f.values)
     bound = n * max(max(map(abs, ints)), 1) ** k
     if bound < _FLOAT64_EXACT:

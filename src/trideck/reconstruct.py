@@ -10,20 +10,24 @@ seed at s leaves a one-parameter gauge: the phases are xi(l) exp(i t mu(l))
 with integer weights mu, and every residual relation of weight d pins t to
 one of finitely many values, the translates of the original.  t is chosen by
 weighted least squares over those values, and the result must reproduce the
-bispectrum on the reached support to a relative 1e-6 of max|B|.
+bispectrum on the reached support to a relative 1e-6 of max|B|.  A candidate
+from an exact deck is exact: it is accepted only when its exact 3-deck is the
+input deck.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .cyclic import (Bispectrum, CyclicFunction, KDeck, bispectrum_from_deck,
-                     canonical_rotation, three_deck_fft, translate)
+from .cyclic import (_FLOAT64_EXACT, Bispectrum, CyclicFunction, KDeck,
+                     _exact_deck, bispectrum_from_deck, canonical_rotation,
+                     deck_equal, three_deck_fft, translate)
 from .cyclotomic import _two_primes, function_poly, zero_pattern_of_poly
 from .errors import DomainError, InconsistentBispectrumError
 
@@ -32,6 +36,8 @@ RESIDUAL_REL_TOL = 1e-6
 DIAGONAL_REL_TOL = 1e-9
 
 TWO_PI = 2 * np.pi
+
+_TRIAL_DIVISORS = 2**12  # the trial division bound of _lattice_denominator
 
 
 @dataclasses.dataclass(frozen=True)
@@ -249,7 +255,8 @@ def propagate_phases(support, B: Bispectrum) -> PhaseAssignment:
     to max|B|: a wrong phase on an entry with |B| below RESIDUAL_REL_TOL
     times max|B| is not detected here.  The final check is _verify_deck in
     reconstruct_from_deck, which compares each candidate's 3-deck with the
-    input to relative 1e-8."""
+    input, exactly for an exact deck and to relative 1e-8 for a float
+    deck."""
     n = B.n
     if hasattr(support, "support"):  # a ZeroPattern
         support = support.support
@@ -262,7 +269,11 @@ def propagate_phases(support, B: Bispectrum) -> PhaseAssignment:
     start = 0
     for l, end in zip(order, ends):
         a, b = l1[start:end], l2[start:end]
-        xi[l] = _unit((xi[a] * xi[b] * Bab[start:end]).sum())
+        z = (xi[a] * xi[b] * Bab[start:end]).sum()
+        # _unit(z) bit for bit, without its array temporaries; the builtin
+        # abs(z) differs from np.abs(z) in the last bit
+        r = np.abs(z)
+        xi[l] = z / (r if r > 0 else 1.0)
         start = end
     trace = tuple({"target": l, "via": v} for l, v in zip(order, via))
 
@@ -336,7 +347,9 @@ def propagate_phases(support, B: Bispectrum) -> PhaseAssignment:
 
 
 def _inverse_to_function(n: int, ghat: np.ndarray,
-                         fhat0: float) -> CyclicFunction:
+                         fhat0: float) -> np.ndarray:
+    """The values of the function with spectrum ghat, as floats: checked
+    real and not materially negative, with round-off below 0 set to 0."""
     g = np.fft.fft(ghat) / n  # inverse of the positive-exponent transform
     peak = max(float(np.max(np.abs(g.real))), 1e-30)
     if float(np.max(np.abs(g.imag))) > 1e-8 * peak:
@@ -348,11 +361,70 @@ def _inverse_to_function(n: int, ghat: np.ndarray,
         raise InconsistentBispectrumError(
             "reconstruction has a materially negative value")
     vals[neg] = 0.0
-    return CyclicFunction.from_floats(vals)
+    return vals
+
+
+def _icbrt(m: int) -> int:
+    """floor(m^(1/3)) for m >= 1, by Newton's method from above."""
+    r = 1 << -(-m.bit_length() // 3)
+    while True:
+        s = (2 * r + m // (r * r)) // 3
+        if s >= r:
+            return r
+        r = s
+
+
+def _lattice_denominator(den: int) -> int:
+    """D = prod p^ceil(e/3) over the prime powers p^e of den: the least D
+    whose cube den divides.
+
+    Trial division stops at _TRIAL_DIVISORS.  The cofactor c left over has
+    only larger prime factors, and counts as its cube root when it is a
+    cube and whole otherwise.  Either way den divides D^3, and D is the
+    least such whenever c is a cube or below _TRIAL_DIVISORS^2 (then a
+    prime)."""
+    D, m, d = 1, den, 2
+    while d < _TRIAL_DIVISORS and d * d <= m:
+        e = 0
+        while m % d == 0:
+            m //= d
+            e += 1
+        D *= d ** -(-e // 3)
+        d += 1
+    if m > 1:
+        r = _icbrt(m)
+        D *= r if r**3 == m else m
+    return D
+
+
+def _candidates(vals: np.ndarray, deck: KDeck):
+    """The candidates for the function values vals, in the order to check
+    them.
+
+    For an exact deck over the denominator N, first vals rounded to the
+    lattice 1/D, D = _lattice_denominator(N): if f has the deck, N divides
+    the cube of f's denominator, so D divides it, and most often is it.
+    Skipped when D * vals leaves the doubles' exact integers.  Then, for
+    every deck, each value's nearest fraction of denominator at most 10^9
+    (CyclicFunction.from_floats), which also finds f where its denominator
+    is a proper multiple of D: f = 1/2 on Z/8Z has a 3-deck of 1s, so
+    D = 1, and f = (25/12, 1/6) has D = 4."""
+    if deck.exact:
+        D = _lattice_denominator(deck.denominator)
+        if D < _FLOAT64_EXACT:
+            m = np.rint(vals * D)
+            if m.max(initial=0.0) < _FLOAT64_EXACT:  # false on NaN too
+                yield CyclicFunction(len(vals), tuple(
+                    Fraction(int(a), D) for a in m.tolist()))
+    yield CyclicFunction.from_floats(vals)
 
 
 def _verify_deck(cand: CyclicFunction, deck: KDeck) -> bool:
-    """Does cand have this 3-deck, to relative 1e-8 of the deck's scale?"""
+    """Does cand have this 3-deck?  Exactly for an exact deck, through the
+    deck core with no budget charge; to relative 1e-8 of the deck's scale
+    for a float deck."""
+    if deck.exact:
+        return deck_equal(_exact_deck(cand, 3), deck)
     got = three_deck_fft(cand).as_floats()
     want = deck.as_floats()
     scale = max(float(np.max(np.abs(want))), 1e-30)
@@ -397,19 +469,21 @@ def reconstruct_from_deck(deck: KDeck) -> ReconstructionReport:
 def _candidate(deck: KDeck, mags: np.ndarray,
                xi: dict[int, complex]) -> tuple[CyclicFunction, int]:
     """The function whose spectrum is mags(l) xi(l) on the indices of xi
-    and 0 elsewhere, checked against the deck, as its canonical rotation
-    and shift.  Raises InconsistentBispectrumError when it is not real,
-    is materially negative or does not reproduce the deck."""
+    and 0 elsewhere, as its canonical rotation and shift: the first of
+    _candidates that reproduces the deck.  Raises
+    InconsistentBispectrumError when it is not real, is materially negative
+    or no candidate reproduces the deck."""
     n = deck.n
     ghat = np.zeros(n, dtype=np.complex128)
     l = np.fromiter(xi, dtype=np.intp, count=len(xi))
     ghat[l] = mags[l] * np.fromiter(xi.values(), dtype=np.complex128,
                                     count=len(xi))
-    cand = _inverse_to_function(n, ghat, float(mags[0]))
-    if not _verify_deck(cand, deck):
-        raise InconsistentBispectrumError(
-            "candidate does not reproduce the input deck")
-    return canonical_rotation(cand)
+    vals = _inverse_to_function(n, ghat, float(mags[0]))
+    for cand in _candidates(vals, deck):
+        if _verify_deck(cand, deck):
+            return canonical_rotation(cand)
+    raise InconsistentBispectrumError(
+        "no candidate reproduces the input deck")
 
 
 def _pq_family(deck: KDeck, B: Bispectrum, mags: np.ndarray, support,

@@ -517,6 +517,7 @@ class TestSubcommands:
         code, out, _ = run(capsys, "rline", "cospair", *argv)
         res = json.loads(out)
         assert code == EXIT_OK
+        assert res["grid_offsets"] == (21 if argv == ("--stride", "48") else 1)
         assert res["deck_rel_error"] <= 1e-12
         assert res["shift_scan_distance"] > 0.05
 

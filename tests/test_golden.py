@@ -1,15 +1,16 @@
 """Golden stdout: the exact bytes and exit code of every documented command
 line whose output is exact.
 
-The lines are those of README's CLI and Scripts sections and of the CI step
+The lines are those of README's CLI and Scripts sections, of the CI step
 "Installed console script, cold", which runs every case here on the
-installed script.  `bispectrum`, `rline` and sampled `survey` print floats
-that depend on the BLAS/FFT build or the numpy version, so they are not
-here.  README's CLI lines of that kind are FLOAT_LINES and must exit 0,
-and every other README CLI line must be a case here, so README and the
-golden files cannot drift apart.  A change that alters stdout on purpose
-rewrites the golden files with `PYTHONPATH=src python tests/test_golden.py`
-and says so in CHANGES.md.
+installed script, and three reconstructions that need exact candidates.
+`bispectrum`, `rline` and sampled `survey` print floats that depend on the
+BLAS/FFT build or the numpy version, so they are not here.  README's CLI
+lines of that kind are FLOAT_LINES and must exit 0, and every other README
+CLI line must be a case here, so README and the golden files cannot drift
+apart.  A change that alters stdout on purpose rewrites the golden files
+with `PYTHONPATH=src python tests/test_golden.py` and says so in
+CHANGES.md.
 """
 
 import contextlib
@@ -66,6 +67,13 @@ CASES = [
     ("zeros_over_budget", ["zeros", "--n", "10000000", "--set", "0"], 2),
     ("deck_over_budget",
      ["deck", "--n", "3000000", "--set", "0", "--k", "2"], 2),
+    # exact candidates: an integer input that a float candidate got wrong,
+    # and two whose denominator is past the lattice of the deck's own
+    ("reconstruct_large_n3",
+     ["reconstruct", "--values", "591446,995935,139226"], 0),
+    ("reconstruct_halves_n8",
+     ["reconstruct", "--values", "1/2,1/2,1/2,1/2,1/2,1/2,1/2,1/2"], 0),
+    ("reconstruct_twelfths_n2", ["reconstruct", "--values", "25/12,1/6"], 0),
 ]
 
 

@@ -606,6 +606,71 @@ class TestReconstructFromDeck:
         assert all(set(t) == {"target", "via"} for t in d["trace"])
 
 
+class TestExactCandidates:
+    """An exact deck gets an exact candidate, or none."""
+
+    @pytest.mark.parametrize("n, hi", [(64, 10**6), (128, 10**5),
+                                       (256, 10**5)])
+    def test_seeded_integer_inputs_give_exact_rotations(self, n, hi):
+        # the float candidates here lay within 1e-8 of the integers, and
+        # their deck within 1e-8 of the input's
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            f = td.CyclicFunction.of([int(v)
+                                      for v in rng.integers(1, hi, n)])
+            rep = td.reconstruct_from_deck(td.k_deck(f, 3))
+            assert rep.uniqueness.kind == "UniqueUpToTranslation"
+            assert td.equal_up_to_translation(f, rep.candidates[0]) \
+                is not None, seed
+
+    def test_pq_family_of_large_integers_is_exact(self):
+        f = _split_function([0, 300000, 600000], [0, 12345, 50000, 31, 27777])
+        rep = td.reconstruct_from_deck(td.k_deck(f, 3))
+        assert rep.uniqueness == td.Uniqueness("FiniteFamily", 15)
+        assert all(v.denominator == 1 for c in rep.candidates
+                   for v in c.values)
+        assert set(rep.candidates) == {td.translate(f, k) for k in range(15)}
+
+    @pytest.mark.parametrize("values", [[Fraction(1, 2)] * 8,
+                                        [Fraction(25, 12), Fraction(1, 6)]])
+    def test_denominator_past_the_decks_lattice(self, values):
+        # the lattice 1/D of the deck's denominator misses f: the deck of
+        # 1/2 on Z/8Z is all 1s, and (25/12, 1/6) has D = 4
+        f = td.CyclicFunction.of(values)
+        rep = td.reconstruct_from_deck(td.k_deck(f, 3))
+        assert td.equal_up_to_translation(f, rep.candidates[0]) is not None
+
+    def test_deck_within_float_tolerance_of_a_genuine_one_is_rejected(self):
+        f = td.CyclicFunction.of([int(v) for v in
+                                  np.random.default_rng(1).integers(
+                                      1, 10**4, 16)])
+        deck = td.k_deck(f, 3)
+        values = deck.values.copy()
+        values[0, 0] += 1
+        with pytest.raises(InconsistentBispectrumError, match="no candidate"):
+            td.reconstruct_from_deck(td.KDeck(16, 3, values, 1))
+
+    @given(st.integers(1, 16), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_rational_inputs_give_exact_translates(self, n, data):
+        value = st.one_of(st.integers(0, 10**7),
+                          st.fractions(0, 50, max_denominator=12))
+        f = td.CyclicFunction.of(
+            data.draw(st.lists(value, min_size=n, max_size=n)))
+        rep = td.reconstruct_from_deck(td.k_deck(f, 3))
+        for c in rep.candidates:
+            assert td.equal_up_to_translation(f, c) is not None
+
+    def test_lattice_denominator_is_the_least_cube_divisor(self):
+        for den in range(1, 3000):
+            D = reconstruct._lattice_denominator(den)
+            assert D == next(d for d in range(1, den + 1)
+                             if d**3 % den == 0), den
+        p = 2**61 - 1  # a prime past the trial division
+        assert reconstruct._lattice_denominator(12**3 * p**3) == 12 * p
+        assert reconstruct._lattice_denominator(p**2) == p**2
+
+
 def _plain_text(rep):
     return json.dumps(rep.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
