@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .config import compute_budget
+from .config import charge
 from .cyclic import (MAX_DECK_ORDER, CyclicFunction, KDeck, bispectrum,
                      k_deck)
 from .cyclotomic import classify_zero_pattern, zero_set
@@ -110,10 +110,9 @@ def _charge_function(args, power: int, what: str) -> None:
     """Refuse a result of n^power entries over the compute budget before
     the function of --n or --values is built."""
     n = args.n if args.values is None else len(args.values.split(","))
-    if n is not None and n**power > compute_budget(
-            getattr(args, "budget", None)):
-        raise BudgetError(f"the {what} at n={n} has {n}^{power} entries, "
-                          "over the compute budget")
+    if n is not None:
+        charge(n**power, f"the {what} at n={n} has {n}^{power} entries, "
+               "over the compute budget")
 
 
 def _interval_set(spec: str) -> IntervalSet:
@@ -130,7 +129,7 @@ def _interval_set(spec: str) -> IntervalSet:
 def _cmd_deck(args):
     if args.k <= MAX_DECK_ORDER:  # k_deck refuses a larger order as such
         _charge_function(args, args.k, f"{args.k}-deck")
-    deck = k_deck(_function_from_args(args), args.k, args.budget)
+    deck = k_deck(_function_from_args(args), args.k)
     if args.format == "csv":
         return deck.to_csv()
     return deck.to_json()
@@ -138,7 +137,7 @@ def _cmd_deck(args):
 
 def _cmd_bispectrum(args):
     # charged here, not in bispectrum(), which reconstruct's verification
-    # calls under its own --budget
+    # of a float deck reaches through three_deck_fft uncharged
     _charge_function(args, 2, "bispectrum")
     return bispectrum(_function_from_args(args)).to_json()
 
@@ -149,7 +148,7 @@ def _cmd_reconstruct(args):
             deck = KDeck.from_json_dict(json.load(fh))
     else:
         _charge_function(args, 3, "3-deck")
-        deck = k_deck(_function_from_args(args), 3, args.budget)
+        deck = k_deck(_function_from_args(args), 3)
     return reconstruct_from_deck(deck).to_json()
 
 
@@ -163,8 +162,7 @@ def _cmd_classify(args):
 
 
 def _cmd_sweep(args):
-    return exhaustive_determinacy(args.n, args.k,
-                                  args.budget).to_json_dict()
+    return exhaustive_determinacy(args.n, args.k).to_json_dict()
 
 
 def _cmd_gm(args):
@@ -179,7 +177,7 @@ def _cmd_survey(args):
 def _cmd_allk(args):
     f = CyclicFunction.indicator(args.n, _int_list(args.set))
     g = CyclicFunction.indicator(args.n, _int_list(args.other))
-    res = verify_all_k_uniqueness(f, g, args.kmax, args.budget)
+    res = verify_all_k_uniqueness(f, g, args.kmax)
     return res.to_json_dict()
 
 
@@ -208,11 +206,10 @@ def _cmd_intervals_translate(args):
     return {"shift": None if shift is None else str(shift)}
 
 
-def _charge_grid(samples: float, budget=None) -> None:
+def _charge_grid(samples: float) -> None:
     """Refuse a grid of more samples than the compute budget before it is
     allocated; inf, which round() refuses, is over every budget."""
-    if samples > compute_budget(budget):
-        raise BudgetError(f"grid of {samples:.6g} samples exceeds budget")
+    charge(samples, f"grid of {samples:.6g} samples exceeds budget")
 
 
 def _step(text: str) -> float:
@@ -225,8 +222,8 @@ def _step(text: str) -> float:
 
 def _pair_summary(f: SampledFunction, g: SampledFunction, args):
     m = int(round(_real(args.max_x, "--max-x") / f.h))
-    Nf = three_deck_grid(f, m, args.stride, args.budget)
-    Ng = three_deck_grid(g, m, args.stride, args.budget)
+    Nf = three_deck_grid(f, m, args.stride)
+    Ng = three_deck_grid(g, m, args.stride)
     scale = float(np.max(np.abs(Nf.values)))
     err = float(np.max(np.abs(Nf.values - Ng.values))) / scale
     return {
@@ -239,7 +236,7 @@ def _pair_summary(f: SampledFunction, g: SampledFunction, args):
 
 def _cmd_rline_cospair(args):
     h = _step(args.h)
-    _charge_grid(2 * args.half_width / h + 1, args.budget)
+    _charge_grid(2 * args.half_width / h + 1)
     f, g = cos_pair(args.k, h, args.half_width, args.tail_tol)
     out = _pair_summary(f, g, args)
     if args.save_prefix:
@@ -252,7 +249,7 @@ def _cmd_rline_cospair(args):
 
 def _cmd_rline_riesz(args):
     h = _step(args.h)
-    _charge_grid(2 * args.half_width / h + 1, args.budget)
+    _charge_grid(2 * args.half_width / h + 1)
     f, g = riesz_pair(_int_list(args.signs),
                       [_real(a, "--amps") for a in args.amps.split(",")],
                       args.k, h, args.half_width, args.tail_tol)
@@ -286,7 +283,7 @@ def _cmd_rline_norms(args):
     for _ in range(args.draws):
         fs = [_random_step(rng, h, length) for _ in range(3)]
         for r, ps in configs:
-            res = norm_inequality_test(fs, r, ps, args.budget)
+            res = norm_inequality_test(fs, r, ps)
             if not res.holds:
                 violations += 1
             if res.rhs > 0:
@@ -316,7 +313,6 @@ _REQUIRED_INT = {"type": int, "required": True}
 _SUBSET = {"help": "comma-separated subset of Z/nZ"}
 _K3 = ("--k", {"type": int, "default": 3})
 _OUT = ("--out", {"help": "write the result JSON/CSV here"})
-_BUDGET = ("--budget", {"type": int, "help": "override the compute budget"})
 _SOURCE = [("--set", _SUBSET),
            ("--values", {"help": "comma-separated rational values"})]
 _ZEROS = [("--n", _REQUIRED_INT), ("--set", {**_SUBSET, **_REQUIRED}),
@@ -332,20 +328,19 @@ _PAIR = [_K3, ("--h", {"default": "1/256"}),
 # Every command, in the order `trideck --help` lists them.  A dict is a
 # group of subcommands; a list holds a leaf's options as (flag, keywords of
 # add_argument), and a list inside it is a mutually exclusive group of which
-# one option is required.  Only the handlers that pass a compute budget on
-# take --budget.
+# one option is required.
 COMMANDS = {
     "deck": [("--n", {"type": int}), _SOURCE, _K3,
              ("--format", {"choices": ("json", "csv"), "default": "json"}),
-             _OUT, _BUDGET],
+             _OUT],
     "bispectrum": [("--n", {"type": int}), _SOURCE, _OUT],
     "reconstruct": [("--n", {"type": int}),
                     _SOURCE + [("--deck",
                                 {"help": "path to a 3-deck JSON file"})],
-                    _OUT, _BUDGET],
+                    _OUT],
     "zeros": _ZEROS,
     "classify": _ZEROS,
-    "sweep": [("--n", _REQUIRED_INT), _K3, _OUT, _BUDGET],
+    "sweep": [("--n", _REQUIRED_INT), _K3, _OUT],
     "gm": [("--p", _REQUIRED_INT), ("--q", _REQUIRED_INT),
            ("--r", _REQUIRED_INT), _OUT],
     "survey": [("--n", _REQUIRED_INT), ("--samples", {"type": int}),
@@ -354,7 +349,7 @@ COMMANDS = {
                            "default": "auto"}), _OUT],
     "allk": [("--n", _REQUIRED_INT), ("--set", _REQUIRED),
              ("--other", _REQUIRED), ("--kmax", {"type": int, "default": 4}),
-             _OUT, _BUDGET],
+             _OUT],
     "intervals": {
         "deck": [("--set", {"required": True, "help":
                             "IntervalSet JSON (inline or a file path)"}),
@@ -366,15 +361,15 @@ COMMANDS = {
                       ("--tol", {"default": "0"}), _OUT],
     },
     "rline": {
-        "cospair": [*_PAIR, ("--save-prefix", {}), _OUT, _BUDGET],
+        "cospair": [*_PAIR, ("--save-prefix", {}), _OUT],
         "riesz": [("--signs", {"required": True, "help": "e.g. 1,-1"}),
                   ("--amps", {"required": True, "help": "e.g. 1/2,1/4"}),
-                  *_PAIR, _OUT, _BUDGET],
+                  *_PAIR, _OUT],
         "stability": [("--in", {"dest": "infile", "required": True}),
                       ("--tol", {"type": float, "default": 1e-6}), _OUT],
         "norms": [("--seed", {"type": int, "default": 7}),
                   ("--draws", {"type": int, "default": 200}),
-                  _OUT, _BUDGET],
+                  _OUT],
         "continuity": [("--in", {"dest": "infile"}),
                        ("--k", {"type": int, "default": 2}),
                        ("--h", {"default": "1/256"}),

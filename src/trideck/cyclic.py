@@ -27,9 +27,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .config import compute_budget
+from .config import charge
 from .cyclotomic import _as_fraction, _cleared, _least_rotation
-from .errors import BudgetError, DomainError, ShapeMismatchError
+from .errors import DomainError, ShapeMismatchError
 
 MAX_DECK_ORDER = 6  # decks for k > 6 are out of scope
 
@@ -199,7 +199,10 @@ class KDeck:
         if v.dtype != object and d < 2**53 and \
                 int(np.max(np.abs(v))) < 2**53:
             return v / d  # both operands exact in float64: one rounding
-        return (v.astype(object) / d).astype(np.float64)  # int / int
+        try:
+            return (v.astype(object) / d).astype(np.float64)  # int / int
+        except OverflowError:
+            raise DomainError("a deck entry is past the float range") from None
 
     def _entries(self, flat: np.ndarray, quote=None) -> list:
         """The entries of flat, an int or "p/q" per exact entry, in its own
@@ -390,7 +393,7 @@ def _deck_int64(v: np.ndarray, n: int, k: int) -> np.ndarray:
     return (left @ right.T).reshape((n,) * (k - 1))
 
 
-def k_deck(f: CyclicFunction, k: int, budget: Optional[int] = None) -> KDeck:
+def k_deck(f: CyclicFunction, k: int) -> KDeck:
     """Exact k-deck N_f^k(j_1..j_{k-1}) = sum_j f_j f_{j+j_1} ... f_{j+j_{k-1}}.
 
     The sum runs over all j in Z/nZ.  Denominators are cleared first, so the
@@ -411,8 +414,7 @@ def k_deck(f: CyclicFunction, k: int, budget: Optional[int] = None) -> KDeck:
         raise DomainError(f"deck order must be >= 2, got {k}")
     if k > MAX_DECK_ORDER:
         raise DomainError(f"deck order {k} > {MAX_DECK_ORDER} is unsupported")
-    if f.n**k > compute_budget(budget):
-        raise BudgetError(f"k_deck size n^k = {f.n}^{k} exceeds budget")
+    charge(f.n**k, f"k_deck size n^k = {f.n}^{k} exceeds budget")
     return _exact_deck(f, k)
 
 

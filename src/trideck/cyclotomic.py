@@ -4,8 +4,8 @@ chi_E_hat(l) = P_E(zeta^l) with P_E(x) = sum_{j in E} x^j, so the spectrum
 vanishes at l != 0 exactly when Phi_{n/gcd(n,l)} divides P_E over Z.  Zero
 detection is always done this way, never by floating thresholds: a false
 zero/nonzero would flip the structural classification downstream.  The
-module also parses rationals, clears denominators, tests n = pq and finds
-the least rotation of a sequence.
+module also parses rationals, clears denominators, tests n = pq, finds
+the least rotation of a sequence, and does the package's trial division.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import numbers
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .config import compute_budget
-from .errors import BudgetError, DomainError, TrideckError
+from .config import charge, compute_budget
+from .errors import DomainError, TrideckError
 
 
 # ---------------------------------------------------------------------------
@@ -41,17 +41,53 @@ def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (denom // v.denominator) for v in values], denom
 
 
-def _factorize(n: int) -> dict[int, int]:
+_TRIAL_DIVISORS = 2**12  # the trial division bound of _lattice_denominator
+
+
+def _trial_division(n: int, bound=math.inf) -> tuple[dict[int, int], int]:
+    """The prime powers of n that trial division by d < bound finds, and
+    the cofactor left: 1, a prime, or a number with no prime factor below
+    bound."""
     out: dict[int, int] = {}
     d, m = 2, n
-    while d * d <= m:
+    while d < bound and d * d <= m:
         while m % d == 0:
             out[d] = out.get(d, 0) + 1
             m //= d
         d += 1
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
+    return out, m
+
+
+def _factorize(n: int) -> dict[int, int]:
+    out, m = _trial_division(n)
+    return {**out, m: 1} if m > 1 else out  # m is then a prime
+
+
+def _icbrt(m: int) -> int:
+    """floor(m^(1/3)) for m >= 1, by Newton's method from above."""
+    r = 1 << -(-m.bit_length() // 3)
+    while True:
+        s = (2 * r + m // (r * r)) // 3
+        if s >= r:
+            return r
+        r = s
+
+
+def _lattice_denominator(den: int) -> int:
+    """D = prod p^ceil(e/3) over the prime powers p^e of den: the least D
+    whose cube den divides.
+
+    Trial division stops at _TRIAL_DIVISORS.  The cofactor c left over has
+    only larger prime factors, and counts as its cube root when it is a
+    cube and whole otherwise.  Either way den divides D^3, and D is the
+    least such whenever c is a cube or below _TRIAL_DIVISORS^2 (then a
+    prime)."""
+    powers, c = _trial_division(den, _TRIAL_DIVISORS)
+    D = math.prod(p ** -(-e // 3) for p, e in powers.items())
+    if c > 1:
+        r = _icbrt(c)
+        D *= r if r**3 == c else c
+    return D
 
 
 def _two_primes(n: int) -> Optional[tuple[int, int]]:
@@ -158,20 +194,18 @@ def _charged_divisors(n: int) -> list[int]:
     factorized."""
     if n < 1:
         raise DomainError(f"modulus must be >= 1, got {n}")
-    budget, divisors = compute_budget(), [1]
-    if n <= budget:
+    divisors = [1]
+    if n <= compute_budget():
         for p, a in _factorize(n).items():
             divisors = [d * p**i for d in divisors for i in range(a + 1)]
-    if n * len(divisors) > budget:
-        raise BudgetError(f"the zero test at n={n} takes n * tau(n) "
-                          "additions, over the compute budget")
+    charge(n * len(divisors), f"the zero test at n={n} takes n * tau(n) "
+           "additions, over the compute budget")
     steps = 0
     for d in divisors:
         up, down = _binomials(d)
         steps += (len(up) + len(down)) * (d + sum(down))
-    if steps > budget:
-        raise BudgetError(f"the zero test at n={n} takes {steps} steps of "
-                          "binomial products, over the compute budget")
+    charge(steps, f"the zero test at n={n} takes {steps} steps of binomial "
+           "products, over the compute budget")
     return divisors
 
 

@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .config import compute_budget
+from .config import charge
 from .cyclic import (CyclicFunction, deck_equal, equal_up_to_translation,
                      k_deck)
 from .cyclotomic import _two_primes, cyclotomic
@@ -173,8 +173,7 @@ class DeterminacyReport:
         }
 
 
-def exhaustive_determinacy(n: int, k: int,
-                           budget: Optional[int] = None) -> DeterminacyReport:
+def exhaustive_determinacy(n: int, k: int) -> DeterminacyReport:
     """Group all 2^n subsets by exact k-deck, quotient by rotation, report
     every deck class containing two or more rotation orbits.
 
@@ -203,9 +202,8 @@ def exhaustive_determinacy(n: int, k: int,
         raise DomainError(f"n = {n} > 64: subsets are at most 64-bit masks")
     first = _multisets(n, k - 1) - _multisets(n - _FIRST_STAGE, k - 1)
     cost = (1 << n) * n + _necklaces(n) * first
-    if cost > compute_budget(budget):
-        raise BudgetError(f"a sweep at n={n}, k={k} needs {cost} operations, "
-                          "over the compute budget")
+    charge(cost, f"a sweep at n={n}, k={k} needs {cost} operations, over "
+           "the compute budget")
 
     reps = _orbit_reps(n)
     colliding = reps[_colliding(_stage1_hash(reps, n, k))]
@@ -250,9 +248,8 @@ def gm_counterexample(p: int, q: int, r: int) -> CounterexamplePair:
     built, and before p*q is factored, which bounds that too.
     """
     n = p * q * r
-    if n**4 > compute_budget():
-        raise BudgetError(f"the 4-decks at n={n} have {n}^4 entries, "
-                          "over the compute budget")
+    charge(n**4, f"the 4-decks at n={n} have {n}^4 entries, over the "
+           "compute budget")
     if _two_primes(p * q) != tuple(sorted((p, q))):
         raise DomainError(f"p={p}, q={q} must be distinct primes")
     if r < 3:
@@ -383,9 +380,8 @@ def survey_zero_proportion(n: int, samples: Optional[int] = None,
         raise BudgetError(f"2^{n} subsets exceed the exhaustive limit")
     if not exhaustive and (samples is None or samples < 1):
         raise DomainError("sampled mode needs samples >= 1")
-    if n * (n - 1) > compute_budget():
-        raise BudgetError(f"the residue matrix at n={n} has {n * (n - 1)} "
-                          "entries, over the compute budget")
+    charge(n * (n - 1), f"the residue matrix at n={n} has {n * (n - 1)} "
+           "entries, over the compute budget")
     M, block = _residue_matrix(n)
     if exhaustive:
         reps = _orbit_reps(n)
@@ -443,8 +439,7 @@ class AllKVerdict:
 
 
 def verify_all_k_uniqueness(f: CyclicFunction, g: CyclicFunction,
-                            k_max: int,
-                            budget: Optional[int] = None) -> AllKVerdict:
+                            k_max: int) -> AllKVerdict:
     """Smallest k in [2, k_max] at which the k-decks of f and g differ, or
     None if all agree; plus translate status.  A differing k is a finite
     witness that f, g are not translates."""
@@ -454,7 +449,7 @@ def verify_all_k_uniqueness(f: CyclicFunction, g: CyclicFunction,
         raise DomainError(f"k_max must be >= 2, got {k_max}")
     first = None
     for k in range(2, k_max + 1):
-        if not deck_equal(k_deck(f, k, budget), k_deck(g, k, budget)):
+        if not deck_equal(k_deck(f, k), k_deck(g, k)):
             first = k
             break
     return AllKVerdict(f.n, k_max, first, equal_up_to_translation(f, g))

@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import compute_budget
-from .errors import BudgetError, DomainError, InvalidExponentsError
+from .config import charge
+from .errors import DomainError, InvalidExponentsError
 from .intervals import IntervalSet
 
 _GRID_BLOCK = 512  # samples per block of the grid deck's sum over t
@@ -95,7 +95,7 @@ def _shift_windows(v: np.ndarray, offsets: np.ndarray,
 
 
 def three_deck_grid(f: SampledFunction, max_offset: Optional[int] = None,
-                    stride: int = 1, budget: Optional[int] = None) -> GridDeck:
+                    stride: int = 1) -> GridDeck:
     """Left-Riemann 3-deck N(i,j) = h * sum_t f_t f_{t+i} f_{t+j} on the
     zero-padded grid, at the bin offsets stride * (-J..J), the multiples of
     the stride within +-max_offset (default: the full support width).
@@ -118,8 +118,7 @@ def three_deck_grid(f: SampledFunction, max_offset: Optional[int] = None,
         raise DomainError(f"grid deck max_offset must be >= 0, got {m}")
     J = m // stride
     cost = (2 * J + 1) ** 2 * L  # charged before allocated
-    if cost > compute_budget(budget):
-        raise BudgetError(f"grid deck cost {cost} exceeds budget")
+    charge(cost, f"grid deck cost {cost} exceeds budget")
     if J * stride >= 2**63:
         raise DomainError(f"grid deck offsets reach {J * stride}, past int64")
     # with J = 0 the stride scales no offset, and may itself be past int64
@@ -321,8 +320,7 @@ def _as_exponent(x) -> Fraction:
     return Fraction(float(x)).limit_denominator(10**6)
 
 
-def correlation_tensor(fs: Sequence[SampledFunction],
-                       budget: Optional[int] = None) -> np.ndarray:
+def correlation_tensor(fs: Sequence[SampledFunction]) -> np.ndarray:
     """N_{f_0..f_k}(x_1..x_k) = h * sum_t f_0(t) prod f_j(t - x_j), full
     offset range, for k in {1,2,3}."""
     if len({f.h for f in fs}) != 1 or len({len(f.values) for f in fs}) != 1:
@@ -332,16 +330,15 @@ def correlation_tensor(fs: Sequence[SampledFunction],
         raise DomainError(f"correlation order k={k} unsupported (use 1..3)")
     h, L = fs[0].h, len(fs[0].values)
     offsets = np.arange(-(L - 1), L)
-    if len(offsets) ** k * L > compute_budget(budget):
-        raise BudgetError("correlation tensor exceeds budget")
+    charge(len(offsets) ** k * L, "correlation tensor exceeds budget")
     stacks = [windows[rows] for windows, rows in
               (_shift_windows(f.values, -offsets, L) for f in fs[1:])]
     subs = {1: "t,at->a", 2: "t,at,bt->ab", 3: "t,at,bt,ct->abc"}[k]
     return h * np.einsum(subs, fs[0].values, *stacks, optimize=True)
 
 
-def norm_inequality_test(fs: Sequence[SampledFunction], r, ps,
-                         budget: Optional[int] = None) -> NormTestResult:
+def norm_inequality_test(fs: Sequence[SampledFunction], r,
+                         ps) -> NormTestResult:
     """Grid check of ||N_{f_0..f_k}||_r <= prod ||f_j||_{p_j}, gated by the
     scaling relation 1 + k/r = sum 1/p_j (an if-and-only-if)."""
     k = len(fs) - 1
@@ -355,7 +352,7 @@ def norm_inequality_test(fs: Sequence[SampledFunction], r, ps,
         raise InvalidExponentsError(
             f"1 + k/r = {1 + Fraction(k) / r} != sum 1/p_j = "
             f"{sum(Fraction(1) / p for p in ps)}")
-    N = correlation_tensor(fs, budget=budget)
+    N = correlation_tensor(fs)
     h = fs[0].h
     rf = float(r)
     lhs = float((h**k * np.sum(np.abs(N) ** rf)) ** (1 / rf))

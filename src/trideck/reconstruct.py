@@ -28,7 +28,8 @@ from numpy.lib.stride_tricks import as_strided
 from .cyclic import (_FLOAT64_EXACT, Bispectrum, CyclicFunction, KDeck,
                      _exact_deck, bispectrum_from_deck, canonical_rotation,
                      deck_equal, three_deck_fft, translate)
-from .cyclotomic import _two_primes, function_poly, zero_pattern_of_poly
+from .cyclotomic import (_lattice_denominator, _two_primes, function_poly,
+                         zero_pattern_of_poly)
 from .errors import DomainError, InconsistentBispectrumError
 
 SUPPORT_REL_TOL = 1e-8
@@ -36,8 +37,6 @@ RESIDUAL_REL_TOL = 1e-6
 DIAGONAL_REL_TOL = 1e-9
 
 TWO_PI = 2 * np.pi
-
-_TRIAL_DIVISORS = 2**12  # the trial division bound of _lattice_denominator
 
 
 @dataclasses.dataclass(frozen=True)
@@ -327,8 +326,11 @@ def propagate_phases(support, B: Bispectrum) -> PhaseAssignment:
         cands = ((TWO_PI * np.arange(abs(d0)) - np.angle(S[ds == d0][0]))
                  / d0) % TWO_PI
         score = (np.exp(1j * np.outer(cands, ds)) @ S).real
-        # t + 2*pi*j/gcd(ds) is the same gauge; take the least of them
-        t = float(cands[np.argmax(score)] % (TWO_PI / np.gcd.reduce(ds)))
+        # t + j*P, P = 2*pi/gcd(ds), is the same gauge: take the least of
+        # them, and 0 where round-off puts t within 1e-9 * P below P
+        P = TWO_PI / np.gcd.reduce(ds)
+        t = float(cands[np.argmax(score)] % P)
+        t = 0.0 if P - t <= 1e-9 * P else t
     xi = xi * np.exp(1j * t * mu)
     neg = (-np.arange(n)) % n
     sym = known & known[neg]
@@ -362,39 +364,6 @@ def _inverse_to_function(n: int, ghat: np.ndarray,
             "reconstruction has a materially negative value")
     vals[neg] = 0.0
     return vals
-
-
-def _icbrt(m: int) -> int:
-    """floor(m^(1/3)) for m >= 1, by Newton's method from above."""
-    r = 1 << -(-m.bit_length() // 3)
-    while True:
-        s = (2 * r + m // (r * r)) // 3
-        if s >= r:
-            return r
-        r = s
-
-
-def _lattice_denominator(den: int) -> int:
-    """D = prod p^ceil(e/3) over the prime powers p^e of den: the least D
-    whose cube den divides.
-
-    Trial division stops at _TRIAL_DIVISORS.  The cofactor c left over has
-    only larger prime factors, and counts as its cube root when it is a
-    cube and whole otherwise.  Either way den divides D^3, and D is the
-    least such whenever c is a cube or below _TRIAL_DIVISORS^2 (then a
-    prime)."""
-    D, m, d = 1, den, 2
-    while d < _TRIAL_DIVISORS and d * d <= m:
-        e = 0
-        while m % d == 0:
-            m //= d
-            e += 1
-        D *= d ** -(-e // 3)
-        d += 1
-    if m > 1:
-        r = _icbrt(m)
-        D *= r if r**3 == m else m
-    return D
 
 
 def _candidates(vals: np.ndarray, deck: KDeck):

@@ -157,14 +157,15 @@ def test_criterion_09_zero_proportion():
                       f"{s13:.4f} ({elapsed:.1f}s)", ok)
 
 
-def test_criterion_10_cosine_pair_grid():
+def test_criterion_10_cosine_pair_grid(monkeypatch):
+    monkeypatch.setenv("TRIDECK_BUDGET", str(2 * 10**8))
     t0 = time.monotonic()
     errs, decks = {}, {}
     for h in (1 / 256, 1 / 512):
         f, g = td.cos_pair(3, h, 64.0)
         m, stride = int(round(2.0 / h)), int(round(0.125 / h))
-        Nf = td.three_deck_grid(f, m, stride, budget=2 * 10**8)
-        Ng = td.three_deck_grid(g, m, stride, budget=2 * 10**8)
+        Nf = td.three_deck_grid(f, m, stride)
+        Ng = td.three_deck_grid(g, m, stride)
         scale = float(np.max(np.abs(Nf.values)))
         errs[h] = float(np.max(np.abs(Nf.values - Ng.values))) / scale
         decks[h] = (Nf, Ng)

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trideck
-from trideck import cli, determinacy
+from trideck import cli, config, determinacy
 from trideck.cli import (EXIT_BUDGET, EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main)
 
 # the module, which the package's function of the same name hides
@@ -64,6 +65,15 @@ _BAD_GRIDS = [
     (["--stride", "0"], "grid deck stride must be >= 1, got 0"),
     (["--stride=-1"], "grid deck stride must be >= 1, got -1"),
     (["--max-x=-1"], "grid deck max_offset must be >= 0, got -256"),
+]
+# (grid options, TRIDECK_BUDGET or None for the default)
+_CHARGED_GRIDS = [
+    pytest.param(["--h", "1e-12"], None, id="--h 1e-12"),
+    pytest.param(["--h", "5e-324"], None, id="--h 5e-324"),
+    pytest.param(["--half-width", "1e12"], None, id="--half-width 1e12"),
+    pytest.param(["--half-width", "inf"], None, id="--half-width inf"),
+    pytest.param(["--h", "1/256"], "100",
+                 id="--h 1/256 TRIDECK_BUDGET=100"),
 ]
 _EXTENT = "grid half-width must be positive and finite"
 _BAD_EXTENTS = [
@@ -302,6 +312,22 @@ class TestExitCodes:
         assert err == (f"trideck: error: {option} '1e999' is too large for "
                        "a float\n")
 
+    # An exact deck past the float range has no bispectrum to reconstruct
+    # from: KDeck.as_floats raised OverflowError, a traceback with exit 1.
+    @pytest.mark.parametrize("source", [["--values", "1e300,1"], "deck"],
+                             ids=["values", "deck"])
+    def test_deck_past_the_float_range(self, capsys, tmp_path, source):
+        if source == "deck":
+            path = tmp_path / "deck.json"
+            path.write_text('{"n": 2, "k": 3, "values": ["1e999", "0", "0", '
+                            '"0"]}')
+            source = ["--deck", str(path)]
+        code, out, err = run(capsys, "reconstruct", *source)
+        assert code == EXIT_DOMAIN and out == "" and "Traceback" not in err
+        assert err == "trideck: error: a deck entry is past the float range\n"
+        # the deck itself is exact, and prints
+        assert run(capsys, "deck", "--values", "1e300,1")[0] == EXIT_OK
+
     @given(st.text("0123456789/+-. e_\u0663\u00b2x", max_size=8))
     @settings(max_examples=300, deadline=None)
     def test_rational_is_fraction(self, text):
@@ -317,12 +343,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("pair", [
         ["cospair"], ["riesz", "--signs", "1,-1", "--amps", "1/2,1/4"]],
         ids=["cospair", "riesz"])
-    @pytest.mark.parametrize("grid", [
-        ["--h", "1e-12"], ["--h", "5e-324"], ["--half-width", "1e12"],
-        ["--half-width", "inf"], ["--h", "1/256", "--budget", "100"]],
-        ids=" ".join)
-    def test_pair_grid_is_charged(self, capsys, monkeypatch, pair, grid):
+    @pytest.mark.parametrize("grid, budget", _CHARGED_GRIDS)
+    def test_pair_grid_is_charged(self, capsys, monkeypatch, pair, grid,
+                                  budget):
         monkeypatch.delenv("TRIDECK_BUDGET", raising=False)
+        if budget is not None:
+            monkeypatch.setenv("TRIDECK_BUDGET", budget)
         code, out, err = run(capsys, "rline", *pair, *grid)
         assert code == EXIT_BUDGET and out == ""
         assert err.startswith("trideck: budget refusal: grid of ")
@@ -379,6 +405,70 @@ def _outcome(argv):
             code = e.code
     return code, out.getvalue(), re.sub(r'"wall_time": [-+.0-9e]+',
                                         '"wall_time": 0', err.getvalue())
+
+
+_ALLK = ["allk", "--n", "18", "--set", "0,1,3,4,5,6,7,8,11", "--other",
+         "0,7,10,11,12,13,14,15,17", "--kmax", "6"]
+_RIESZ = ["rline", "riesz", "--signs", "1,-1", "--amps", "1/2,1/4"]
+
+
+class TestComputeBudget:
+    """TRIDECK_BUDGET is the one ceiling: no leaf takes --budget, and no
+    library function a budget parameter."""
+
+    def test_no_leaf_takes_a_budget_option(self):
+        for words in _leaves():
+            actions = cli._leaf_parser(tuple(words))._option_string_actions
+            assert "--budget" not in actions, words
+
+    def test_no_library_function_takes_a_budget(self):
+        assert not inspect.signature(config.compute_budget).parameters
+        for name in ("config", "cyclic", "cyclotomic", "determinacy",
+                     "intervals", "realline", "reconstruct", "cli"):
+            module = sys.modules[f"trideck.{name}"]
+            for attr, fn in vars(module).items():
+                if inspect.isfunction(fn) and fn.__module__ == module.__name__:
+                    assert "budget" not in inspect.signature(fn).parameters, \
+                        (name, attr)
+
+    # Each charging leaf refuses under TRIDECK_BUDGET with its own line,
+    # byte for byte, at the library's charges as at the CLI's.
+    @pytest.mark.parametrize("argv, budget, message", [
+        pytest.param(["deck", "--n", "5", "--set", "0", "--k", "3"], "100",
+                     "the 3-deck at n=5 has 5^3 entries, over the compute "
+                     "budget", id="deck"),
+        pytest.param(["reconstruct", "--values", "1,2,3"], "26",
+                     "the 3-deck at n=3 has 3^3 entries, over the compute "
+                     "budget", id="reconstruct"),
+        pytest.param(["sweep", "--n", "10"], "5",
+                     "a sweep at n=10, k=3 needs 13156 operations, over the "
+                     "compute budget", id="sweep"),
+        pytest.param(_ALLK, "5832", "k_deck size n^k = 18^4 exceeds budget",
+                     id="allk"),
+        pytest.param(["rline", "cospair"], "100",
+                     "grid of 32769 samples exceeds budget",
+                     id="cospair grid"),
+        pytest.param(["rline", "cospair"], "1000000",
+                     "grid deck cost 35685441 exceeds budget",
+                     id="cospair grid deck"),
+        pytest.param(_RIESZ, "1000000",
+                     "grid deck cost 35685441 exceeds budget", id="riesz"),
+        pytest.param(["rline", "norms", "--draws", "2"], "100",
+                     "correlation tensor exceeds budget", id="norms"),
+    ])
+    def test_refusal_under_the_environment(self, capsys, monkeypatch, argv,
+                                           budget, message):
+        monkeypatch.setenv("TRIDECK_BUDGET", budget)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert err == f"trideck: budget refusal: {message}\n"
+
+    def test_budget_that_is_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("TRIDECK_BUDGET", "abc")
+        code, out, err = run(capsys, "zeros", "--n", "12", "--set", "0")
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err == "trideck: error: TRIDECK_BUDGET 'abc' is not an " \
+                      "integer\n"
 
 
 _SPEC = json.dumps({"intervals": [["0", "1"], ["3/2", "2"]]})

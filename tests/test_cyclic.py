@@ -257,9 +257,10 @@ class TestKDeck:
         with pytest.raises(DomainError):
             td.k_deck(f, 7)
 
-    def test_budget_refusal(self):
+    def test_budget_refusal(self, monkeypatch):
+        monkeypatch.setenv("TRIDECK_BUDGET", "100")
         with pytest.raises(BudgetError):
-            td.k_deck(td.CyclicFunction.of([1] * 12), 3, budget=100)
+            td.k_deck(td.CyclicFunction.of([1] * 12), 3)
 
     def test_object_fallback_matches_int64(self):
         # huge values force the arbitrary-precision path
@@ -336,6 +337,14 @@ class TestKDeck:
         want = [float(Fraction(int(x), d.denominator))
                 for x in d.values.reshape(-1).tolist()]
         assert d.as_floats().reshape(-1).tolist() == want
+
+    @pytest.mark.parametrize("deck", [
+        {"n": 2, "k": 3, "values": ["1e999", "0", "0", "0"]},
+        td.k_deck(td.CyclicFunction.of(["1e300", 1]), 3).to_json_dict()])
+    def test_as_floats_past_the_float_range_is_a_domain_error(self, deck):
+        # an OverflowError of int / int, which exited through a traceback
+        with pytest.raises(DomainError, match="past the float range"):
+            td.KDeck.from_json_dict(deck).as_floats()
 
     def test_deck_equal_across_value_denominators(self):
         f = td.CyclicFunction.of(["1/2", "1/3", 0, "5/4"])

@@ -132,9 +132,10 @@ class TestExhaustive:
         rep2 = td.exhaustive_determinacy(8, 2)
         assert len(rep2.ambiguous_classes) > 0
 
-    def test_budget_refusal(self):
+    def test_budget_refusal(self, monkeypatch):
+        monkeypatch.setenv("TRIDECK_BUDGET", "100")
         with pytest.raises(BudgetError):
-            td.exhaustive_determinacy(7, 3, budget=100)
+            td.exhaustive_determinacy(7, 3)
 
     def test_class_members_verified(self):
         rep = td.exhaustive_determinacy(8, 2)
@@ -204,17 +205,19 @@ class TestExhaustive:
 
     @pytest.mark.parametrize("n", sorted({2, 3, 5, 7, 11, 13, 17, 19, 23}
                                          | set(range(1, 22, 2))))
-    def test_prime_and_odd_moduli_are_determined(self, n):
+    def test_prime_and_odd_moduli_are_determined(self, n, monkeypatch):
         # Radcliffe & Scott (prime n), Pebody (odd n): the 3-deck of a
         # subset of Z/nZ fixes it up to translation
-        rep = td.exhaustive_determinacy(n, 3, budget=10**9)
+        monkeypatch.setenv("TRIDECK_BUDGET", str(10**9))
+        rep = td.exhaustive_determinacy(n, 3)
         assert rep.ambiguous_classes == ()
         assert rep.runtime_stats["deck_classes"] == _burnside(n)
 
     @pytest.mark.parametrize("n,classes", [(18, 7), (20, 18), (22, 31),
                                            (24, 69)])
-    def test_even_moduli_ambiguous_counts(self, n, classes):
-        rep = td.exhaustive_determinacy(n, 3, budget=10**9)
+    def test_even_moduli_ambiguous_counts(self, n, classes, monkeypatch):
+        monkeypatch.setenv("TRIDECK_BUDGET", str(10**9))
+        rep = td.exhaustive_determinacy(n, 3)
         assert len(rep.ambiguous_classes) == classes
         # pairs of orbits only, up to n = 22; n = 24 has six classes of four
         sizes = Counter(len(c) for c in rep.ambiguous_classes)
@@ -255,9 +258,10 @@ class TestExhaustive:
         with pytest.raises(BudgetError):
             td.exhaustive_determinacy(22, 3)
 
-    def test_refuses_more_than_64_bits(self):
+    def test_refuses_more_than_64_bits(self, monkeypatch):
+        monkeypatch.setenv("TRIDECK_BUDGET", "1")
         with pytest.raises(DomainError):
-            td.exhaustive_determinacy(65, 3, budget=1)
+            td.exhaustive_determinacy(65, 3)
 
     def test_json(self):
         d = td.exhaustive_determinacy(5, 3).to_json_dict()

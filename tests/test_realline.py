@@ -207,11 +207,12 @@ class TestGridDecks:
         with pytest.raises(DomainError):
             td.three_deck_grid(f, **kwargs)
 
-    def test_grid_window_charged_before_allocated(self):
+    def test_grid_window_charged_before_allocated(self, monkeypatch):
         # 2 * 10**15 offsets would need 16 PB: refused, not allocated
+        monkeypatch.setenv("TRIDECK_BUDGET", str(10**6))
         f = td.SampledFunction(1 / 16, 0.0, np.arange(8.0))
         with pytest.raises(BudgetError):
-            td.three_deck_grid(f, max_offset=10**15, budget=10**6)
+            td.three_deck_grid(f, max_offset=10**15)
 
 
 class TestCounterexamplePairs:
