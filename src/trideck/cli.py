@@ -175,8 +175,13 @@ def _cmd_survey(args):
 
 
 def _cmd_allk(args):
-    f = CyclicFunction.indicator(args.n, _int_list(args.set))
-    g = CyclicFunction.indicator(args.n, _int_list(args.other))
+    E, F = _int_list(args.set), _int_list(args.other)
+    if args.n >= 1 and args.kmax >= 2:
+        # the first k_deck's charge, before the two functions of n
+        # Fractions are built; other n and k_max are refused as such
+        charge(args.n**2, f"k_deck size n^k = {args.n}^2 exceeds budget")
+    f = CyclicFunction.indicator(args.n, E)
+    g = CyclicFunction.indicator(args.n, F)
     res = verify_all_k_uniqueness(f, g, args.kmax)
     return res.to_json_dict()
 

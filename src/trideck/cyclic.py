@@ -20,6 +20,7 @@ the oracle for the float path at small n.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from fractions import Fraction
@@ -28,7 +29,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .config import charge
-from .cyclotomic import _as_fraction, _cleared, _least_rotation
+from .cyclotomic import (_as_fraction, _cleared, _least_rotation,
+                         _limit_denominator)
 from .errors import DomainError, ShapeMismatchError
 
 MAX_DECK_ORDER = 6  # decks for k > 6 are out of scope
@@ -81,20 +83,28 @@ class CyclicFunction:
         lies at least 1/q >= 1e-9 from m, so further than 5e-10 from x.
         x - m is exact there, and the float 5e-10 lies just above the real
         one with no double between them, hence the strict test.  Only the
-        other values take limit_denominator; NaN and inf reach it and raise
-        as it does."""
+        other values take limit_denominator, which
+        cyclotomic._limit_denominator works out in integers; NaN and inf
+        reach it and raise as Fraction(x) does."""
         x = np.asarray(values, dtype=np.float64)
         m = np.rint(x)
         with np.errstate(invalid="ignore"):  # inf - inf
             near = np.abs(x - m) < 5e-10
         vals = tuple(Fraction(int(r)) if ok
-                     else Fraction(v).limit_denominator(10**9)
+                     else _limit_denominator(v, 10**9)
                      for v, r, ok in zip(x.tolist(), m.tolist(),
                                          near.tolist()))
         return cls(len(vals), vals)
 
     def __getitem__(self, j: int) -> Fraction:
         return self.values[j % self.n]
+
+    @functools.cached_property
+    def _ints(self) -> tuple[list[int], int]:
+        """_cleared(self.values), worked out once: the exact deck and the
+        canonical rotation of a candidate both read it.  Not to be
+        mutated."""
+        return _cleared(self.values)
 
     def support(self) -> frozenset[int]:
         return frozenset(j for j, v in enumerate(self.values) if v != 0)
@@ -362,11 +372,6 @@ def dft(f: CyclicFunction) -> Spectrum:
     return Spectrum(f.n, np.fft.ifft(vals) * f.n)
 
 
-def _shift_matrix(n: int) -> np.ndarray:
-    a = np.arange(n)
-    return (a[:, None] + a[None, :]) % n  # [s, j] -> (j+s) % n
-
-
 def _shift_products(R: np.ndarray, rows: np.ndarray, m: int) -> np.ndarray:
     """rows times m more shift rows: out[(t, s_1..s_m), j] = rows[t, j] *
     R[s_1, j] * ... * R[s_m, j], row-major with j last."""
@@ -383,8 +388,11 @@ def _deck_int64(v: np.ndarray, n: int, k: int) -> np.ndarray:
     The k - 1 shift indices split into a left half, ceil((k-1)/2) of them
     with v's own factor, and a right half; each half is one array of shift
     products with j last, and the deck is one matrix product of the two
-    over j."""
-    R = v[_shift_matrix(n)]  # R[s, j] = v[(j+s) % n]
+    over j.  The shift rows R[s, j] = v[(j + s) % n] are one read-only
+    window over v doubled: row s is v2[s:s + n]."""
+    v2 = np.concatenate((v, v[:-1]))
+    R = np.ndarray((n, n), v2.dtype, v2, 0, v2.strides * 2)
+    R.flags.writeable = False
     if k == 2:
         return R @ v
     a = k // 2  # ceil((k - 1) / 2)
@@ -424,7 +432,7 @@ def _exact_deck(f: CyclicFunction, k: int) -> KDeck:
     result against a deck the caller already holds, of the same size, does
     not fail on the budget."""
     n = f.n
-    ints, denom = _cleared(f.values)
+    ints, denom = f._ints
     bound = n * max(max(map(abs, ints)), 1) ** k
     if bound < _FLOAT64_EXACT:
         core = _deck_int64(np.array(ints, dtype=np.float64), n, k)
@@ -481,7 +489,7 @@ def equal_up_to_translation(f: CyclicFunction,
     if f.n != g.n:
         raise ShapeMismatchError(f"moduli differ: {f.n} != {g.n}")
     # cleared integers order as the values do; equal functions share a denom
-    (a, da), (b, db) = _cleared(f.values), _cleared(g.values)
+    (a, da), (b, db) = f._ints, g._ints
     sf, period = _least_rotation(a)
     sg, _ = _least_rotation(b)
     if da != db or a[sf:] + a[:sf] != b[sg:] + b[:sg]:
@@ -501,6 +509,6 @@ def deck_equal(d1: KDeck, d2: KDeck) -> bool:
 
 def canonical_rotation(f: CyclicFunction) -> tuple[CyclicFunction, int]:
     """Lexicographically-smallest rotation and the least shift producing it."""
-    s, period = _least_rotation(_cleared(f.values)[0])
+    s, period = _least_rotation(f._ints[0])
     # translate(f, a) starts at -a, and equal rotations start a period apart
     return CyclicFunction(f.n, f.values[s:] + f.values[:s]), -s % period

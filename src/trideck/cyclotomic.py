@@ -29,7 +29,7 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     if isinstance(x, float):
-        return Fraction(x).limit_denominator(10**12)
+        return _limit_denominator(x, 10**12)
     if isinstance(x, (int, numbers.Integral)):  # int skips the ABC's check
         return Fraction(int(x))
     raise DomainError(f"cannot interpret {x!r} as a rational value")
@@ -39,6 +39,33 @@ def _cleared(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """The values times their least common denominator, and that denom."""
     denom = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (denom // v.denominator) for v in values], denom
+
+
+def _limit_denominator(x: float, most: int) -> Fraction:
+    """Fraction(x).limit_denominator(most) for a float x, in integers: the
+    same continued fraction of x's exact ratio, stopped at the last
+    convergent p1/q1 with q1 <= most, and the same choice between p1/q1
+    and the semiconvergent P/Q with the largest Q <= most, p1/q1 when it
+    is no further from x.  Both are in lowest terms.  NaN and inf raise
+    as Fraction(x) does."""
+    num, den = x.as_integer_ratio()
+    if den <= most:
+        return Fraction(num, den)
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    a, b = num, den
+    while True:
+        t = a // b
+        q2 = q0 + t * q1
+        if q2 > most:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + t * p1, q2
+        a, b = b, a - t * b
+    k = (most - q0) // q1
+    P, Q = p0 + k * p1, q0 + k * q1
+    # |p1/q1 - x| <= |P/Q - x|, over the common denominator q1 * Q * den
+    if abs(p1 * den - num * q1) * Q <= abs(P * den - num * Q) * q1:
+        return Fraction(p1, q1)
+    return Fraction(P, Q)
 
 
 _TRIAL_DIVISORS = 2**12  # the trial division bound of _lattice_denominator

@@ -23,7 +23,6 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .cyclic import (_FLOAT64_EXACT, Bispectrum, CyclicFunction, KDeck,
                      _exact_deck, bispectrum_from_deck, canonical_rotation,
@@ -261,10 +260,10 @@ def propagate_phases(support, B: Bispectrum) -> PhaseAssignment:
         support = support.support
     targets = sorted(set(int(l) % n for l in support))
     order, via, l1, l2, ends, mu, known = _marching_schedule(n, targets)
-    Bc = np.conj(B.values)
     xi = np.zeros(n, dtype=np.complex128)
     xi[known] = 1.0  # the seeds; every other reached phase is set below
-    Bab = Bc[l1, l2]
+    Bab = B.values[l1, l2]
+    np.conj(Bab, out=Bab)
     start = 0
     for l, end in zip(order, ends):
         a, b = l1[start:end], l2[start:end]
@@ -280,7 +279,9 @@ def propagate_phases(support, B: Bispectrum) -> PhaseAssignment:
     # true gauge t, so t maximizes sum_d Re(exp(i t d) S_d).  The pairs are
     # the r x r block of reached indices masked to reached sums, taken in
     # row-major order, and each S_d sums its pairs in that order.  A value
-    # at the sums l1 + l2 is read from a window of the doubled array.
+    # at the sums l1 + l2 is read from a window of the doubled array.  The
+    # block is built conjugated, on B itself: conj(a b) = conj(a) conj(b)
+    # holds bit for bit, as negation is exact, so conj(z) is z's bits.
     r = known.nonzero()[0]
     full = len(r) == n
 
@@ -292,19 +293,20 @@ def propagate_phases(support, B: Bispectrum) -> PhaseAssignment:
         """The block of v((l1 + l2) % n): row l1 of the window is v doubled
         from l1 on."""
         v2 = np.concatenate((v, v))
-        return block(as_strided(v2, (n, n), v2.strides * 2, writeable=False))
+        return block(np.ndarray((n, n), v2.dtype, v2, 0, v2.strides * 2))
 
     m = at_sums(known)
     every = full or m.all()  # then the block needs no mask
-    Br = block(Bc)
+    Br = block(B.values)
     out = np.empty(Br.shape, dtype=np.complex128)
 
     def cycles(xi):
-        """xi(l1) xi(l2) conj(xi(l1 + l2)) conj(B(l1, l2)) on the block,
-        written into `out`, which both calls share."""
-        xr = xi[r]
+        """conj(xi(l1)) conj(xi(l2)) xi(l1 + l2) B(l1, l2) on the block, the
+        conjugate of each cycle, written into `out`, which both calls
+        share."""
+        xr = np.conj(xi[r])
         z = np.multiply(xr[:, None], xr, out=out)
-        z *= at_sums(np.conj(xi))
+        z *= at_sums(xi)
         z *= Br
         return z
 
@@ -312,6 +314,7 @@ def propagate_phases(support, B: Bispectrum) -> PhaseAssignment:
     d = mu[r][:, None] + mu[r]
     d -= at_sums(mu)
     z, d = (z.ravel(), d.ravel()) if every else (z[m], d[m])
+    np.conj(z, out=z)
     # bin d - low: the weights span a few multiples of n, so bins are few
     low = d.min(initial=0)
     d -= low
@@ -336,11 +339,16 @@ def propagate_phases(support, B: Bispectrum) -> PhaseAssignment:
     sym = known & known[neg]
     xi[sym] = _unit(xi[sym] + np.conj(xi[neg[sym]]))
 
+    # |z - |B|| is |conj(z) - |B||; its abs goes into the block of |B|
+    mag = np.abs(B.values)
+    scale = mag.max()
     z = cycles(xi)
-    z -= np.abs(Br)
-    resid = np.abs(z if every else z[m])
+    mag_r = block(mag)
+    z -= mag_r
+    resid = np.abs(z, out=mag_r)
+    resid = resid if every else resid[m]
     # written so that a NaN residual fails too
-    if not resid.max(initial=0.0) <= RESIDUAL_REL_TOL * np.abs(Bc).max():
+    if not resid.max(initial=0.0) <= RESIDUAL_REL_TOL * scale:
         raise InconsistentBispectrumError(
             "phase propagation found contradictory cycles; the input is "
             "not a genuine bispectrum of a real nonnegative function")
@@ -383,8 +391,10 @@ def _candidates(vals: np.ndarray, deck: KDeck):
         if D < _FLOAT64_EXACT:
             m = np.rint(vals * D)
             if m.max(initial=0.0) < _FLOAT64_EXACT:  # false on NaN too
+                # Fraction(a) skips the gcd that Fraction(a, D) takes
                 yield CyclicFunction(len(vals), tuple(
-                    Fraction(int(a), D) for a in m.tolist()))
+                    Fraction(int(a)) if D == 1 else Fraction(int(a), D)
+                    for a in m.tolist()))
     yield CyclicFunction.from_floats(vals)
 
 

@@ -130,6 +130,24 @@ class TestExitCodes:
         assert code == EXIT_BUDGET and out == ""
         assert err.startswith("trideck: budget refusal: ")
 
+    def test_allk_is_charged_before_it_builds(self, capsys, monkeypatch):
+        # the first 2-deck's n^2 entries, before the two indicators of n
+        # Fractions each are built; a k_max below 2 is refused as such
+        def unbuilt(*a):
+            raise AssertionError("the function was built")
+        monkeypatch.delenv("TRIDECK_BUDGET", raising=False)
+        with monkeypatch.context() as m:
+            m.setattr(trideck.CyclicFunction, "indicator", unbuilt)
+            code, out, err = run(capsys, "allk", "--n", "3000000", "--set",
+                                 "0", "--other", "1", "--kmax", "2")
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert err == ("trideck: budget refusal: k_deck size n^k = "
+                       "3000000^2 exceeds budget\n")
+        code, out, err = run(capsys, "allk", "--n", "5", "--set", "0",
+                             "--other", "1", "--kmax", "1")
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err == "trideck: error: k_max must be >= 2, got 1\n"
+
     @pytest.mark.parametrize("argv", [
         ["bispectrum", "--n", "100000", "--set", "0,1"],
         ["bispectrum", "--values", ",".join(["1"] * 10001)]])

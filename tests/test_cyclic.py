@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import trideck as td
 from trideck import cyclic
-from trideck.cyclic import _deck_int64, _shift_matrix, _sorted_index
+from trideck.cyclic import _deck_int64, _sorted_index
 from trideck.errors import BudgetError, DomainError, ShapeMismatchError
 
 
@@ -23,7 +24,8 @@ def test_deck_core_contraction_order_is_exact(k, dtype):
         v = np.array([int(x) * 10**20 for x in v], dtype=object)
     elif dtype is np.float64:  # 9 * 49^6 < 2^53: every sum is exact
         v = v.astype(np.float64)
-    R = v[_shift_matrix(n)]
+    j = np.arange(n)
+    R = v[(j[None, :] + j[:, None]) % n]  # R[s, j] = v[(j + s) % n]
     sub = "j," + ",".join(f"{c}j" for c in "abcde"[:k - 1]) + "->" \
         + "abcde"[:k - 1]
     assert np.array_equal(_deck_int64(v, n, k),
@@ -36,13 +38,10 @@ def _brute_deck(v, k):
     n = len(v)
     out = []
     for s in itertools.product(range(n), repeat=k - 1):
-        total = 0
-        for j in range(n):
-            p = v[j]
-            for t in s:
-                p *= v[(j + t) % n]
-            total += p
-        out.append(total)
+        p = list(v)
+        for t in s:  # p[j] *= v[(j + t) % n]
+            p = list(map(operator.mul, p, v[t:] + v[:t]))
+        out.append(sum(p))
     return out
 
 
@@ -56,6 +55,18 @@ def test_deck_core_matches_brute_force(k, n):
         got = _deck_int64(np.array(ints, dtype=dtype), n, k)
         assert got.shape == (n,) * (k - 1) and got.dtype == dtype
         assert got.reshape(-1).tolist() == _brute_deck(ints, k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 128])
+def test_deck_core_matches_brute_force_k3(n):
+    # the window's edges: one shift row, two, and a modulus past the small
+    # ones above
+    v = np.random.default_rng(n).integers(-9, 10, n).tolist()
+    big = [x * 10**20 + 1 for x in v]
+    for dtype, ints in ((np.float64, v), (np.int64, v), (object, big)):
+        got = _deck_int64(np.array(ints, dtype=dtype), n, 3)
+        assert got.shape == (n, n) and got.dtype == dtype
+        assert got.reshape(-1).tolist() == _brute_deck(ints, 3)
 
 
 def _tier_inputs(k, n, above):

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 import trideck as td
 from trideck.cyclotomic import (ClassificationError, _as_fraction, _cleared,
-                                _divisible, _least_rotation, _two_primes,
-                                cyclotomic, function_poly,
-                                zero_pattern_of_poly)
+                                _divisible, _least_rotation,
+                                _limit_denominator, _two_primes, cyclotomic,
+                                function_poly, zero_pattern_of_poly)
 from trideck.errors import DomainError
 
 cyclotomic_module = sys.modules["trideck.cyclotomic"]
@@ -292,6 +292,47 @@ class TestExactHelpers:
         vals = [Fraction(1, 4), Fraction(1, 6), Fraction(0), Fraction(-3)]
         assert _cleared(vals) == ([3, 2, 0, -36], 12)
         assert _cleared([]) == ([], 1)
+
+    @staticmethod
+    def _assert_limit_denominator(x, most=10**9):
+        got = _limit_denominator(x, most)
+        want = Fraction(x).limit_denominator(most)
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == \
+            (want.numerator, want.denominator), (x, most)
+
+    @given(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-1e-300, 1e-300),  # subnormals among them
+        st.floats(1e15, 1e300).flatmap(lambda x: st.sampled_from([x, -x])),
+        st.integers(-10**6, 10**6).flatmap(
+            lambda m: st.floats(m - 5e-10, m + 5e-10))))
+    @settings(max_examples=500, deadline=None)
+    def test_limit_denominator_matches_fraction(self, x):
+        self._assert_limit_denominator(x)
+        self._assert_limit_denominator(x, 10**12)
+
+    # At most = 10^9 no float lies midway between the two bounds: the
+    # midpoint of p1/q1 and P/Q has the denominator 2 q1 Q (or q1 Q), a
+    # power of two only if q1 or Q is 1, and then the other is 10^9.  With
+    # most = 2^b, m + 1/2^(b+1) lies midway between m and m + 1/2^b, and
+    # Fraction keeps the convergent m.
+    @given(st.integers(-1000, 1000), st.integers(1, 40), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_limit_denominator_ties(self, m, b, low):
+        x = m + (-1 if low else 1) / 2**(b + 1)
+        assert Fraction(x) - m == Fraction(-1 if low else 1, 2**(b + 1))
+        got = _limit_denominator(x, 2**b)
+        assert abs(got - Fraction(x)) == Fraction(1, 2**(b + 1))
+        self._assert_limit_denominator(x, 2**b)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_limit_denominator_non_finite(self, bad):
+        with pytest.raises((ValueError, OverflowError)) as old:
+            Fraction(bad).limit_denominator(10**9)
+        with pytest.raises(old.type, match=str(old.value)):
+            _limit_denominator(bad, 10**9)
 
     def test_two_primes(self):
         def prime(m):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from trideck.cli import EXIT_DOMAIN, main
 from trideck.cyclic import Bispectrum
 from trideck.cyclotomic import _factorize, function_poly, zero_pattern_of_poly
 from trideck.errors import DomainError, InconsistentBispectrumError
-from trideck import reconstruct
+from trideck import cyclic, reconstruct
 from trideck.reconstruct import (PhaseAssignment, _candidate, _pq_shifts,
                                  _translates_pq)
 
@@ -434,6 +435,23 @@ class TestPropagation:
                 got = _bit_outcome(td.propagate_phases, support, B)
                 assert got == want, (n, sorted(support))
 
+    def test_full_support_march_holds_under_3_5_block_arrays(self):
+        # the gauge and residual stages work on B itself: a conj(B) copy
+        # would take the peak from about 2.8 to about 4.1 n x n complex
+        # arrays of 16 bytes an entry (1 MiB each at n = 256)
+        n = 256
+        f = td.CyclicFunction.of(np.random.default_rng(0).integers(1, 10, n)
+                                 .tolist())
+        B = td.bispectrum_from_deck(td.k_deck(f, 3))
+        tracemalloc.start()
+        try:
+            pa = td.propagate_phases(range(n), B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not pa.unreached and len(pa.xi) == n
+        assert peak < 3.5 * n * n * 16, peak
+
 
 class TestReconstructFromDeck:
     def test_spec_example(self):
@@ -668,6 +686,19 @@ class TestExactCandidates:
             assert rep.uniqueness.kind == "UniqueUpToTranslation"
             assert td.equal_up_to_translation(f, rep.candidates[0]) \
                 is not None, seed
+
+    def test_candidate_is_cleared_once(self, monkeypatch):
+        # its exact deck and its canonical rotation share one clearing
+        f = td.CyclicFunction.of(np.random.default_rng(1).integers(1, 100, 32)
+                                 .tolist())
+        deck = td.k_deck(f, 3)
+        calls = []
+        cleared = cyclic._cleared
+        monkeypatch.setattr(cyclic, "_cleared",
+                            lambda values: calls.append(1) or cleared(values))
+        rep = td.reconstruct_from_deck(deck)
+        assert len(calls) == 1
+        assert td.equal_up_to_translation(f, rep.candidates[0]) is not None
 
     def test_pq_family_of_large_integers_is_exact(self):
         f = _split_function([0, 300000, 600000], [0, 12345, 50000, 31, 27777])
