@@ -45,9 +45,8 @@ CASES = [
     ("intervals_ddx",
      ["intervals", "ddx", "--set", _SET, "--x=-1/4", "--y", "1/8"], 0),
     # README, Scripts
-    # n = 10 runs the argv of the CI case sweep_n10, which stands for it
     *((f"sweep_n{n}_budget", ["sweep", "--n", str(n)], 0)
-      for n in range(2, 19) if n != 10),
+      for n in range(2, 19)),
     *((f"survey_n{n}", ["survey", "--n", str(n), "--samples", "50000"], 0)
       for n in (5, 6, 7, 10, 11, 13)),
     ("allk_kmax6", _ALLK + ["6"], 0),
