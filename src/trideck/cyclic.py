@@ -76,24 +76,11 @@ class CyclicFunction:
 
     @classmethod
     def from_floats(cls, values: Sequence[float]) -> "CyclicFunction":
-        """Each value as Fraction(x).limit_denominator(10**9).
-
-        A value within 5e-10 of an integer m is m, which is what
-        limit_denominator returns for it: every other p/q with q <= 10^9
-        lies at least 1/q >= 1e-9 from m, so further than 5e-10 from x.
-        x - m is exact there, and the float 5e-10 lies just above the real
-        one with no double between them, hence the strict test.  Only the
-        other values take limit_denominator, which
-        cyclotomic._limit_denominator works out in integers; NaN and inf
-        reach it and raise as Fraction(x) does."""
-        x = np.asarray(values, dtype=np.float64)
-        m = np.rint(x)
-        with np.errstate(invalid="ignore"):  # inf - inf
-            near = np.abs(x - m) < 5e-10
-        vals = tuple(Fraction(int(r)) if ok
-                     else _limit_denominator(v, 10**9)
-                     for v, r, ok in zip(x.tolist(), m.tolist(),
-                                         near.tolist()))
+        """Each value as Fraction(x).limit_denominator(10**9), worked out
+        in integers by cyclotomic._limit_denominator; NaN and inf raise as
+        Fraction(x) does."""
+        vals = tuple(_limit_denominator(v, 10**9) for v in
+                     np.asarray(values, dtype=np.float64).tolist())
         return cls(len(vals), vals)
 
     def __getitem__(self, j: int) -> Fraction:
@@ -110,7 +97,10 @@ class CyclicFunction:
         return frozenset(j for j, v in enumerate(self.values) if v != 0)
 
     def as_floats(self) -> np.ndarray:
-        return np.array([float(v) for v in self.values], dtype=np.float64)
+        try:
+            return np.array([float(v) for v in self.values], dtype=np.float64)
+        except OverflowError:  # int / int past the largest double
+            raise DomainError("a value is past the float range") from None
 
     def to_json_dict(self) -> dict:
         return {
@@ -372,6 +362,16 @@ def dft(f: CyclicFunction) -> Spectrum:
     return Spectrum(f.n, np.fft.ifft(vals) * f.n)
 
 
+def _circulant(v: np.ndarray) -> np.ndarray:
+    """The read-only n x n window W[a, b] = v[(a + b) % n] of a 1-D v: row
+    a is v doubled from a on, with no index matrix and no modulo."""
+    n = len(v)
+    v2 = np.concatenate((v, v[:-1]))
+    W = np.ndarray((n, n), v2.dtype, v2, 0, v2.strides * 2)
+    W.flags.writeable = False
+    return W
+
+
 def _shift_products(R: np.ndarray, rows: np.ndarray, m: int) -> np.ndarray:
     """rows times m more shift rows: out[(t, s_1..s_m), j] = rows[t, j] *
     R[s_1, j] * ... * R[s_m, j], row-major with j last."""
@@ -388,11 +388,8 @@ def _deck_int64(v: np.ndarray, n: int, k: int) -> np.ndarray:
     The k - 1 shift indices split into a left half, ceil((k-1)/2) of them
     with v's own factor, and a right half; each half is one array of shift
     products with j last, and the deck is one matrix product of the two
-    over j.  The shift rows R[s, j] = v[(j + s) % n] are one read-only
-    window over v doubled: row s is v2[s:s + n]."""
-    v2 = np.concatenate((v, v[:-1]))
-    R = np.ndarray((n, n), v2.dtype, v2, 0, v2.strides * 2)
-    R.flags.writeable = False
+    over j.  The shift rows R[s, j] = v[(j + s) % n] are _circulant(v)."""
+    R = _circulant(v)
     if k == 2:
         return R @ v
     a = k // 2  # ceil((k - 1) / 2)
@@ -449,12 +446,15 @@ def _exact_deck(f: CyclicFunction, k: int) -> KDeck:
 
 
 def bispectrum(f: CyclicFunction) -> Bispectrum:
-    fh = dft(f).values
+    """fhat(l1) fhat(l2) fhat(-l1-l2); the third factor is the circulant of
+    fhat(-l).  Raises DomainError when an entry is past the float range."""
     n = f.n
-    l = np.arange(n)
-    third = fh[(-(l[:, None] + l[None, :])) % n]
-    B = fh[:, None] * fh[None, :]
-    B *= third
+    with np.errstate(over="ignore", invalid="ignore"):
+        fh = dft(f).values
+        B = fh[:, None] * fh[None, :]
+        B *= _circulant(fh[-np.arange(n) % n])
+    if not np.isfinite(B).all():
+        raise DomainError("a bispectrum entry is past the float range")
     return Bispectrum(n, B)
 
 

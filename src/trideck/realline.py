@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import charge
+from .cyclotomic import _limit_denominator
 from .errors import DomainError, InvalidExponentsError
 from .intervals import IntervalSet
 
@@ -317,7 +318,7 @@ class NormTestResult:
 def _as_exponent(x) -> Fraction:
     if isinstance(x, (Fraction, int, str)):
         return Fraction(x)
-    return Fraction(float(x)).limit_denominator(10**6)
+    return _limit_denominator(float(x), 10**6)
 
 
 def correlation_tensor(fs: Sequence[SampledFunction]) -> np.ndarray:

@@ -25,8 +25,9 @@ from typing import Optional
 import numpy as np
 
 from .cyclic import (_FLOAT64_EXACT, Bispectrum, CyclicFunction, KDeck,
-                     _exact_deck, bispectrum_from_deck, canonical_rotation,
-                     deck_equal, three_deck_fft, translate)
+                     _circulant, _exact_deck, bispectrum_from_deck,
+                     canonical_rotation, deck_equal, three_deck_fft,
+                     translate)
 from .cyclotomic import (_lattice_denominator, _two_primes, function_poly,
                          zero_pattern_of_poly)
 from .errors import DomainError, InconsistentBispectrumError
@@ -106,23 +107,21 @@ class ReconstructionReport:
         """The file text: json.dumps(self.to_json_dict(), indent=2,
         sort_keys=True) and a final newline, in one pass.
 
-        A pq family's members are the translates of member 0 in the order
-        of _pq_shifts, so each member's values are a window of member 0's
-        tokens taken twice over, cut where its shift puts member 0's first
-        value.  Each member is checked exactly against its rotation of
-        member 0 before the window is used; a member that fails the check,
-        as in a report built by hand, is formatted on its own."""
-        cands = self.candidates
+        A member that is a rotation of member 0, as a translate is, holds
+        member 0's value objects, so its values are a window of member 0's
+        tokens taken twice over, cut where member 0 holds the member's
+        first value.  Each such member is checked exactly against that
+        rotation before the window is used; any other member, as in a
+        report built by hand, is formatted on its own."""
         texts = []
-        if cands:
-            first = cands[0].values
+        if self.candidates:
+            first = self.candidates[0].values
             n = len(first)
             tokens = _tokens(first)
             doubled = tokens + tokens
-            pq = _two_primes(n) if len(cands) == n else None
-            cuts = ([-s % n for s in _pq_shifts(*pq)] if pq
-                    else [0] + [None] * (len(cands) - 1))
-            for c, cut in zip(cands, cuts):
+            where = {id(v): i for i, v in enumerate(first)}
+            for c in self.candidates:
+                cut = where.get(id(c.values[0]))
                 if cut is not None and c.values == first[cut:] + first[:cut]:
                     body = _VALUE_SEP.join(doubled[cut:cut + n])
                 else:
@@ -279,7 +278,7 @@ def propagate_phases(support, B: Bispectrum) -> PhaseAssignment:
     # true gauge t, so t maximizes sum_d Re(exp(i t d) S_d).  The pairs are
     # the r x r block of reached indices masked to reached sums, taken in
     # row-major order, and each S_d sums its pairs in that order.  A value
-    # at the sums l1 + l2 is read from a window of the doubled array.  The
+    # at the sums l1 + l2 is read from the block of its _circulant.  The
     # block is built conjugated, on B itself: conj(a b) = conj(a) conj(b)
     # holds bit for bit, as negation is exact, so conj(z) is z's bits.
     r = known.nonzero()[0]
@@ -289,13 +288,7 @@ def propagate_phases(support, B: Bispectrum) -> PhaseAssignment:
         """Rows and columns r of the n x n array w."""
         return w if full else w.take(r, 0).take(r, 1)
 
-    def at_sums(v):
-        """The block of v((l1 + l2) % n): row l1 of the window is v doubled
-        from l1 on."""
-        v2 = np.concatenate((v, v))
-        return block(np.ndarray((n, n), v2.dtype, v2, 0, v2.strides * 2))
-
-    m = at_sums(known)
+    m = block(_circulant(known))
     every = full or m.all()  # then the block needs no mask
     Br = block(B.values)
     out = np.empty(Br.shape, dtype=np.complex128)
@@ -306,13 +299,13 @@ def propagate_phases(support, B: Bispectrum) -> PhaseAssignment:
         share."""
         xr = np.conj(xi[r])
         z = np.multiply(xr[:, None], xr, out=out)
-        z *= at_sums(xi)
+        z *= block(_circulant(xi))
         z *= Br
         return z
 
     z = cycles(xi)
     d = mu[r][:, None] + mu[r]
-    d -= at_sums(mu)
+    d -= block(_circulant(mu))
     z, d = (z.ravel(), d.ravel()) if every else (z[m], d[m])
     np.conj(z, out=z)
     # bin d - low: the weights span a few multiples of n, so bins are few

@@ -346,6 +346,16 @@ class TestExitCodes:
         # the deck itself is exact, and prints
         assert run(capsys, "deck", "--values", "1e300,1")[0] == EXIT_OK
 
+    # A value past the float range, or a bispectrum entry that overflows,
+    # is one line and exit 1, not a traceback or Infinity and NaN entries.
+    @pytest.mark.parametrize("values, message", [
+        ("1e400,1", "a value is past the float range"),
+        ("1e300,1", "a bispectrum entry is past the float range")])
+    def test_bispectrum_past_the_float_range(self, capsys, values, message):
+        code, out, err = run(capsys, "bispectrum", "--values", values)
+        assert code == EXIT_DOMAIN and out == ""
+        assert err == f"trideck: error: {message}\n"
+
     @given(st.text("0123456789/+-. e_\u0663\u00b2x", max_size=8))
     @settings(max_examples=300, deadline=None)
     def test_rational_is_fraction(self, text):

@@ -32,6 +32,26 @@ def test_deck_core_contraction_order_is_exact(k, dtype):
                           np.einsum(sub, v, *([R] * (k - 1)), optimize=False))
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 128])
+@pytest.mark.parametrize("dtype", [np.float64, np.int64, object, bool,
+                                   np.complex128])
+def test_circulant_is_the_sum_window(n, dtype):
+    raw = np.random.default_rng(n).integers(-9, 10, n)
+    if dtype is object:  # Python ints beyond int64
+        v = np.array([int(x) * 10**20 + 1 for x in raw], dtype=object)
+    elif dtype is np.complex128:
+        v = raw + 1j * raw[::-1]
+    else:
+        v = raw.astype(dtype)
+    W = cyclic._circulant(v)
+    assert W.shape == (n, n) and W.dtype == v.dtype
+    assert [[W[a, b] for b in range(n)] for a in range(n)] == \
+        [[v[(a + b) % n] for b in range(n)] for a in range(n)]
+    assert not W.flags.writeable
+    with pytest.raises(ValueError):
+        W[0, 0] = v[0]
+
+
 def _brute_deck(v, k):
     """sum_j v_j v_{j+s_1} ... v_{j+s_{k-1}} for every (s_1..s_{k-1}),
     row-major, in Python ints."""
@@ -497,6 +517,40 @@ class TestBispectrum:
     def test_wrong_order_rejected(self):
         with pytest.raises(DomainError):
             td.bispectrum_from_deck(td.k_deck(td.CyclicFunction.of([1, 2]), 2))
+
+    @pytest.mark.parametrize("n", [*range(1, 13), 64, 128])
+    def test_circulant_third_factor_is_the_index_matrix(self, n):
+        # a test-local copy of the n x n index matrix and its modulo, on a
+        # random function and on three with spectral zeros where n allows:
+        # a constant, and sets of period 2 and of period 3
+        rng = np.random.default_rng(n)
+        inputs = [rng.integers(1, 9, n).tolist(), [3] * n,
+                  [1 + j % 2 for j in range(n)],
+                  [int(j % 3 == 0) for j in range(n)]]
+        for values in inputs:
+            f = td.CyclicFunction.of(values)
+            fh = td.dft(f).values
+            l = np.arange(n)
+            third = fh[(-(l[:, None] + l[None, :])) % n]
+            B = fh[:, None] * fh[None, :]
+            B *= third
+            got = td.bispectrum(f).values
+            assert got.dtype == B.dtype and got.shape == B.shape
+            assert got.tobytes() == B.tobytes()
+
+    @pytest.mark.parametrize("values, message", [
+        (["1e400", 1], "a value is past the float range"),
+        (["1e300", 1], "a bispectrum entry is past the float range"),
+        (["1e103", 1, 2], "a bispectrum entry is past the float range")])
+    def test_past_the_float_range_is_a_domain_error(self, values, message):
+        # a value past the float range, and finite values whose transform
+        # products overflow, each with its own message
+        f = td.CyclicFunction.of(values)
+        with pytest.raises(DomainError, match=message):
+            td.bispectrum(f)
+        if values[0] == "1e400":
+            with pytest.raises(DomainError, match=message):
+                f.as_floats()
 
 
 class TestTranslation:

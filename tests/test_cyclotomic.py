@@ -311,6 +311,7 @@ class TestExactHelpers:
     def test_limit_denominator_matches_fraction(self, x):
         self._assert_limit_denominator(x)
         self._assert_limit_denominator(x, 10**12)
+        self._assert_limit_denominator(x, 10**6)  # realline's exponents
 
     # At most = 10^9 no float lies midway between the two bounds: the
     # midpoint of p1/q1 and P/Q has the denominator 2 q1 Q (or q1 Q), a

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -443,6 +444,22 @@ class TestAllK:
         f = td.CyclicFunction.indicator(5, [0, 1])
         g = td.CyclicFunction.indicator(5, [0, 2])
         assert td.verify_all_k_uniqueness(f, g, 4).first_differing_k == 2
+
+    def test_two_decks_at_n2000_stay_linear_in_memory(self):
+        # the 2-deck's shift rows are a window over v doubled: an n x n
+        # int64 index or shift matrix would peak at about 30 MiB here
+        n = 2000
+        rng = np.random.default_rng(0)
+        f = td.CyclicFunction.indicator(n, rng.choice(n, 50).tolist())
+        g = td.translate(f, 7)
+        tracemalloc.start()
+        try:
+            v = td.verify_all_k_uniqueness(f, g, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.decks_all_equal and v.translate_shift == 7
+        assert peak < 4 * 2**20, peak
 
     def test_validation(self):
         f = td.CyclicFunction.of([1, 1])

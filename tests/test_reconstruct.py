@@ -830,6 +830,41 @@ class TestReportText:
             assert json.loads(hand.to_json())["candidates"] == [
                 c.to_json_dict() for c in cands]
 
+    def test_rotations_of_member_0_are_windows_in_any_order(self,
+                                                            monkeypatch):
+        # hand-built reports: rotations of member 0 in non-CRT orders and
+        # counts other than p*q, a member 0 that holds one Fraction object
+        # at several positions, and strangers that start with one of
+        # member 0's value objects but are not rotations of it
+        own = td.CyclicFunction.of(
+            [Fraction(j * j % 7, 3) for j in range(12)])
+        third = Fraction(1, 3)
+        shared = td.CyclicFunction(6, (third, Fraction(2), third,
+                                       Fraction(5, 2), third, Fraction(0)))
+        v = own.values
+        strangers = [td.CyclicFunction(12, (v[4],) + (Fraction(9),) * 11),
+                     td.CyclicFunction(12, v[4:] + v[:3] + (v[3] + 1,)),
+                     td.CyclicFunction(3, (v[4], v[5], v[6])),
+                     td.CyclicFunction.of(map(str, v[4:] + v[:4]))]
+        reports = [
+            [own] + [td.translate(own, s) for s in (5, 11, 3, 7)],
+            [own, td.translate(own, 2), own, td.translate(own, 10)],
+            [shared] + [td.translate(shared, s) for s in (1, 4, 2, 5, 3)],
+            [td.translate(own, 6)] + strangers,
+            [own] + strangers + [td.translate(own, 1)]]
+        calls = []
+        tokens = reconstruct._tokens
+        monkeypatch.setattr(reconstruct, "_tokens",
+                            lambda values: calls.append(1) or tokens(values))
+        for cands in reports:
+            hand = reconstruct.ReconstructionReport(
+                tuple(cands), reconstruct.Uniqueness("FiniteFamily",
+                                                     len(cands)), 0, ())
+            calls.clear()
+            assert hand.to_json() == _plain_text(hand)
+            if cands[0] is own:  # member 0's tokens, then the strangers'
+                assert len(calls) == 1 + sum(c in strangers for c in cands)
+
 
 class TestNoisyDeck:
     @pytest.mark.parametrize("level", [1e-12, 1e-9])
