@@ -9,9 +9,11 @@ decks), the Grunbaum-Moore style pair of non-translate sets with equal
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -24,10 +26,12 @@ from .errors import BudgetError, DomainError, TrideckError
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 # Chunk sizes keep each temporary of a pass in L2 and under glibc's 128 KiB
 # mmap threshold, so the heap hands the same blocks to the next chunk and
-# no page faults in again.  Picked by timing 2^12..2^16 candidates and
-# 2^7..2^12 sets at n = 18..24.
-_CHUNK = 1 << 14  # candidate masks canonicalized at once
-_HASH_CHUNK = 1 << 16  # representatives whose n rotations are held at once
+# no page faults in again.  At 2^14 prefixes a level's uint32 children
+# would be 128 KiB.  The others were picked by timing 2^11..2^16 orbits at
+# n = 18..26 and 2^7..2^12 sets at n = 18, 20.
+_CHUNK = 1 << 13  # necklace prefixes extended at once
+_START = 12  # prenecklaces up to this length are built once per process
+_HASH_CHUNK = 1 << 13  # representatives whose n rotations are held at once
 _SURVEY_CHUNK = 1 << 9  # sets tested for spectral zeros at once
 _FIRST_STAGE = 3  # the sweep keys first on offset tuples with a_1 < 3
 _HASH_P = np.uint64(0x9E3779B97F4A7C15)  # odd, so h -> h * P is a bijection
@@ -49,41 +53,84 @@ def _rotate(masks: np.ndarray, n: int, a: int) -> np.ndarray:
     return ((masks >> t(a)) | (masks << t(n - a))) & t((1 << n) - 1)
 
 
-def _least_in_orbit(masks: np.ndarray, n: int,
-                    shifts: Iterable[int]) -> np.ndarray:
-    """The masks (bit j set when j is in the set) that are the least of
-    their n rotations, in their given order, comparing each with its
-    rotations by `shifts`.  A mask is dropped at its first smaller
-    rotation, so the array shrinks as it goes."""
-    for a in shifts:
-        masks = masks[masks <= _rotate(masks, n, a)]
-    return masks
+def _extend(v: np.ndarray, q: np.ndarray, length: int,
+            periods: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The binary prenecklaces one bit longer than the ascending
+    prenecklaces v of the given length, ascending, each with q = 2^(p-1)
+    for its Lyndon length p; with `periods` (bit d-1 set for each d | n),
+    only those whose p is one of them.
+
+    This is the FKM rule (Cattell, Ruskey, Sawada, Serra and Miers,
+    J. Algorithms 37, 2000) on a mask read as a string of bits, most
+    significant first, so that lexicographic order is numeric order.  A
+    prenecklace with Lyndon length p extends by c = bit p-1 of v (appending
+    shifts v left, so that bit stays bit p-1), keeping p; when c = 0 it
+    also extends by 1, and then p is the new length.  Each parent's
+    children are written in order, so the strings stay ascending."""
+    t = v.dtype.type
+    zero = (v & q) == 0
+    kids = np.empty((len(v), 2), v.dtype)  # each parent's 0 and 1 child
+    np.left_shift(v, t(1), out=kids[:, 0])
+    np.bitwise_or(kids[:, 0], t(1), out=kids[:, 1])
+    qs = np.empty_like(kids)
+    qs[:] = q[:, None]
+    np.copyto(qs[:, 1], t(1 << length), where=zero)
+    keep = np.empty(kids.shape, dtype=bool)
+    if periods:
+        fits = (q & t(periods)) != 0
+        np.logical_and(zero, fits, out=keep[:, 0])
+        np.logical_or(zero, fits, out=keep[:, 1])  # a 1 after c = 0: p is new
+    else:
+        keep[:, 0] = zero
+        keep[:, 1] = True
+    at = np.flatnonzero(keep)  # faster than a boolean index here
+    return kids.ravel().take(at), qs.ravel().take(at)
+
+
+@functools.cache
+def _prenecklaces(length: int, dtype: type) -> tuple[np.ndarray, np.ndarray]:
+    """_extend's prenecklaces of a length up to _START, read-only; they do
+    not depend on n, so they are built once per process."""
+    if length == 0:
+        v, q = np.zeros(1, dtype), np.ones(1, dtype)
+    else:
+        v, q = _extend(*_prenecklaces(length - 1, dtype), length - 1)
+    v.flags.writeable = q.flags.writeable = False
+    return v, q
+
+
+def _necklace_blocks(n: int, v: Optional[np.ndarray] = None,
+                     q: Optional[np.ndarray] = None, length: int = 0):
+    """The least mask of every rotation orbit of subsets of Z/nZ (bit j set
+    when j is in the set), ascending, in blocks, each with q = 2^(p-1) for
+    its least period p.
+
+    Read most significant bit first, the least mask of an orbit is its
+    least string, a necklace: a prenecklace of length n whose Lyndon length
+    p divides n, and p is then its least period.  The prenecklaces of v are
+    extended by _extend, a level at a time, to length n, where only the
+    necklaces are kept.  A level of more than _CHUNK prefixes is extended
+    _CHUNK at a time, in order, so that the working set stays bounded and
+    the blocks come out ascending."""
+    if v is None:
+        length = min(_START, n - 1)
+        v, q = _prenecklaces(length, np.uint32 if n <= 32 else np.uint64)
+    divisors = sum(1 << (d - 1) for d in range(1, n + 1) if n % d == 0)
+    while length < n:
+        if len(v) > _CHUNK:
+            for s in range(0, len(v), _CHUNK):
+                yield from _necklace_blocks(n, v[s:s + _CHUNK],
+                                            q[s:s + _CHUNK], length)
+            return
+        length += 1
+        v, q = _extend(v, q, length - 1, divisors if length == n else 0)
+    yield v, q
 
 
 def _orbit_reps(n: int) -> np.ndarray:
-    """The least mask of every rotation orbit of subsets of Z/nZ, sorted.
-
-    Apart from 0 and the full set 2^n - 1, only odd masks below 2^(n-1)
-    are candidates, a quarter of all masks.  Let m be the least mask of
-    its orbit, neither 0 nor full.  Bit 0 of m is set: otherwise rotating
-    m's lowest set bit down to bit 0 gives a smaller mask.  Bit n-1 of m
-    is clear: otherwise rotating a clear bit of m up to bit n-1 gives a
-    mask below 2^(n-1) <= m.
-
-    Such a candidate is never above its rotations by 1 and by n - 1, so
-    only the shifts 2..n-2 are compared: the rotation by 1 moves bit 0 up
-    to bit n-1, giving a mask of at least 2^(n-1), and the rotation by
-    n - 1 is the doubled mask, since bit n-1 is clear.  The shifts nearest
-    n/2 go first, as they drop the most candidates (at n = 18 a shift by
-    7..11 keeps about 75%, a shift by 2 keeps 83%)."""
-    dtype = np.uint32 if n <= 32 else np.uint64
-    half = 1 << (n - 1)
-    shifts = sorted(range(2, n - 1), key=lambda a: abs(2 * a - n))
-    odd = [_least_in_orbit(np.arange(start, min(start + 2 * _CHUNK, half), 2,
-                                     dtype=dtype), n, shifts)
-           for start in range(1, half, 2 * _CHUNK)]
-    return np.concatenate([np.zeros(1, dtype), *odd,
-                           np.full(1, (1 << n) - 1, dtype)])
+    """The least mask of every rotation orbit of subsets of Z/nZ, sorted
+    (bit j set when j is in the set); see _necklace_blocks."""
+    return np.concatenate([v for v, _ in _necklace_blocks(n)])
 
 
 def _rotations(masks: np.ndarray, n: int) -> list[np.ndarray]:
@@ -92,52 +139,87 @@ def _rotations(masks: np.ndarray, n: int) -> list[np.ndarray]:
     return [masks] + [_rotate(masks, n, a) for a in range(1, n)]
 
 
-def _prefix_ands(rot: list[np.ndarray], depth: int, first: int,
-                 lo: int = 0, acc: Optional[np.ndarray] = None):
-    """For each offset prefix lo <= a_1 <= ... <= a_depth < n = len(rot)
-    with a_1 < first, in lexicographic order: a_depth (lo for the empty
-    prefix) and the prefix's AND, rot[0] & rot[a_1] & ... & rot[a_depth],
-    each one AND on its parent's.
+@functools.cache
+def _class_offsets(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The lexicographically first offset tuple 0 <= a_1 <= ... <= a_{k-1}
+    < n of each translation class of the point set {0, a_1, ..., a_{k-1}},
+    ascending.
 
-    The deck entry N(a_1, ..., a_{k-1}) of a set A is |A & (A - a_1) &
-    ...|, so popcount(acc & rot[a]) for a >= a_depth is the entry at the
-    prefix followed by a, with k - 1 = depth + 1.  Entries lie in [0, n],
-    so uint8 holds them exactly."""
-    acc = rot[0] if acc is None else acc
-    if depth == 0:
-        yield lo, acc
-        return
-    for a in range(lo, first):
-        yield from _prefix_ands(rot, depth - 1, len(rot), a, acc & rot[a])
+    The k-deck entry of a 0/1 set A at an offset tuple, |A & (A - a_1) &
+    ...|, counts the translates of that point set in A, so it is the same
+    at every tuple of the class.  A class is that of a point set S with 0
+    in S and |S| <= k; its tuples are the translates of S that hold 0,
+    written with repeats.  The first is k - |S| zeros followed by the
+    nonzero points of the translate whose sorted points are least."""
+    first = []
+    for size in range(min(k - 1, n - 1) + 1):
+        for rest in itertools.combinations(range(1, n), size):
+            s = (0, *rest)
+            if all(s <= tuple(sorted((x - y) % n for x in s)) for y in rest):
+                first.append((0,) * (k - 1 - size) + rest)
+    return tuple(sorted(first))
+
+
+def _runs(offsets) -> list[tuple[tuple[int, ...], list[int]]]:
+    """The runs of `offsets` (first tuples, as _class_offsets gives them)
+    that share all but their last offset: the nonzero offsets of that
+    prefix, and the run's last offsets.  With rot[a] the masks rotated by
+    a, the entry at a tuple is popcount(rot[0] & rot[a] over the prefix &
+    rot[last]); entries lie in [0, n], so uint8 holds them exactly."""
+    return [(prefix, [t[-1] for t in run]) for prefix, run in
+            itertools.groupby(offsets,
+                              key=lambda t: tuple(a for a in t[:-1] if a))]
 
 
 def _stage1_hash(reps: np.ndarray, n: int, k: int) -> np.ndarray:
-    """A 64-bit rolling hash of each mask's k-deck entries at the offset
-    tuples with a_1 < _FIRST_STAGE, in lexicographic order, h <- h * P +
-    entry mod 2^64, over chunks of masks so that only one chunk's n
-    rotations are held.  Equal entries give equal hashes."""
+    """A 64-bit rolling hash of each mask's k-deck entries at the first
+    tuples of the translation classes with a_1 < _FIRST_STAGE, in
+    lexicographic order: eight entries make one little-endian uint64 word
+    (the last zero-padded), folded as h <- h * P + word mod 2^64, over
+    chunks of masks so that only one chunk's n rotations are held.  Equal
+    entries give equal hashes."""
+    offsets = [t for t in _class_offsets(n, k) if t[0] < _FIRST_STAGE]
+    runs = _runs(offsets)
     h = np.zeros(len(reps), dtype=np.uint64)
-    first = min(n, _FIRST_STAGE)
-    stop = n if k > 2 else first
     for start in range(0, len(reps), _HASH_CHUNK):
         part = h[start:start + _HASH_CHUNK]
         rot = _rotations(reps[start:start + _HASH_CHUNK], n)
-        for lo, acc in _prefix_ands(rot, k - 2, first):
-            for a in range(lo, stop):
-                part *= _HASH_P
-                part += np.bitwise_count(acc & rot[a])
+        tmp = np.empty_like(rot[0])
+        buf = np.zeros((len(part), 8), dtype=np.uint8)
+        word = buf.view(np.dtype("<u8"))[:, 0]
+        i = 0
+        for prefix, lasts in runs:
+            acc = functools.reduce(np.bitwise_and, [rot[a] for a in prefix],
+                                   rot[0])
+            for a in lasts:
+                np.bitwise_count(np.bitwise_and(acc, rot[a], out=tmp),
+                                 out=buf[:, i % 8])
+                i += 1
+                if i % 8 == 0 or i == len(offsets):  # a word is full
+                    buf[:, (i - 1) % 8 + 1:] = 0  # or the last one padded
+                    part *= _HASH_P
+                    part += word
         del rot  # before the next chunk's rotations are made
     return h
 
 
 def _deck_rows(masks: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Each mask's full k-deck entries at 0 <= a_1 <= ... <= a_{k-1} < n,
-    in lexicographic order, one uint8 row per mask."""
+    """Each mask's k-deck entries at the first tuple of every translation
+    class, in lexicographic order, one uint8 row per mask.  Every other
+    entry equals its class's, so two masks have equal k-decks exactly when
+    their rows are equal."""
+    offsets = _class_offsets(n, k)
     rot = _rotations(masks, n)
     R = np.stack(rot, axis=1)  # R[i, a]: mask i rotated by a
-    return np.concatenate(
-        [np.bitwise_count(acc[:, None] & R[:, lo:])
-         for lo, acc in _prefix_ands(rot, k - 2, n)], axis=1)
+    rows = np.empty((len(masks), len(offsets)), dtype=np.uint8)
+    col = 0
+    for prefix, lasts in _runs(offsets):
+        acc = functools.reduce(np.bitwise_and, [rot[a] for a in prefix],
+                               rot[0])
+        np.bitwise_count(acc[:, None] & R[:, lasts],
+                         out=rows[:, col:col + len(lasts)])
+        col += len(lasts)
+    return rows
 
 
 def _colliding(h: np.ndarray) -> np.ndarray:
@@ -179,22 +261,28 @@ def exhaustive_determinacy(n: int, k: int) -> DeterminacyReport:
 
     Subsets are bitmasks (uint32 up to n = 32, uint64 up to n = 64), and a
     0/1 set's deck entries are popcounts.  A k-deck is symmetric in its
-    arguments, so its entries at 0 <= a_1 <= ... <= a_{k-1} < n decide it.
-    Only the least mask of each rotation orbit is decked (see _orbit_reps).
+    arguments, so its entries at 0 <= a_1 <= ... <= a_{k-1} < n decide it,
+    and an entry counts the translates of the point set {0, a_1, ...,
+    a_{k-1}} in the set, so the entries at the first tuple of each
+    translation class of that point set decide it too (see
+    _class_offsets).  Only the least mask of each rotation orbit is decked,
+    and those are generated directly (see _necklace_blocks).
 
-    Stage 1 folds each mask's entries with a_1 <= 2, which see more than
-    the 2-deck (a set and its mirror image share the 2-deck), into a
-    64-bit rolling hash; no stage-1 matrix is stored.  Stage 2 builds the
-    full exact rows of the masks whose hash is shared and groups them on
-    exact bytes.  Equal decks have equal hashes, so every class of two or
-    more orbits reaches stage 2; a false hash collision only sends extra
-    masks there.  No hash value decides an answer.  When no hash is
-    shared, every orbit is its own class and stage 2 does not run.
+    Stage 1 folds each mask's entries at the classes with a_1 <= 2, which
+    see more than the 2-deck (a set and its mirror image share the
+    2-deck), into a 64-bit rolling hash, eight entries a word; no stage-1
+    matrix is stored.  Stage 2 builds the exact rows, one entry per class,
+    of the masks whose hash is shared and groups them on exact bytes.
+    Equal decks have equal hashes, so every class of two or more orbits
+    reaches stage 2; a false hash collision only sends extra masks there.
+    No hash value decides an answer.  When no hash is shared, every orbit
+    is its own class and stage 2 does not run.
 
-    The budget is charged before any work starts, with the kernel's own
-    operation count: 2^n * n for the rotation pass, plus necklaces(n) times
-    the number of first-stage offset tuples.  The second stage, over the
-    colliding masks only, is not charged.
+    The budget is charged before any work starts: 2^n * n, plus
+    necklaces(n) times the number of first-stage offset tuples.  That is an
+    upper bound of the first stage's work, which builds a few prenecklaces
+    per necklace and computes one entry per class.  The second stage, over
+    the colliding masks only, is not charged.
     """
     if n < 1 or k < 2:
         raise DomainError(f"need n >= 1 and k >= 2, got n={n}, k={k}")
@@ -384,11 +472,8 @@ def survey_zero_proportion(n: int, samples: Optional[int] = None,
            "entries, over the compute budget")
     M, block = _residue_matrix(n)
     if exhaustive:
-        reps = _orbit_reps(n)
-        size = np.full(len(reps), n, dtype=np.int64)
-        for a in range(n - 1, 0, -1):  # the least period is set last
-            if n % a == 0:
-                size[_rotate(reps, n, a) == reps] = a
+        reps, q = (np.concatenate(x) for x in zip(*_necklace_blocks(n)))
+        size = np.bitwise_count(q - q.dtype.type(1)) + np.uint8(1)  # p
         # bit j of a mask is bit j % 8 of its byte j // 8, little-endian
         raw = reps.astype(reps.dtype.newbyteorder("<"), copy=False)
         raw = raw.view(np.uint8).reshape(len(reps), -1)

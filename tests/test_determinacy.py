@@ -11,8 +11,7 @@ import pytest
 import trideck as td
 from trideck import determinacy
 from trideck.cyclotomic import cyclotomic
-from trideck.determinacy import (_least_in_orbit, _orbit_reps, _rotate,
-                                 _wilson)
+from trideck.determinacy import _orbit_reps, _rotate, _wilson
 from trideck.errors import BudgetError, DomainError
 
 
@@ -55,17 +54,59 @@ def _sweep_by_loop(n, k):
         {"orbit_reps": len(reps), "deck_classes": len(classes)})
 
 
-def _hash_by_columns(reps, n, k):
-    """The stage-1 hash as a reference: for each offset tuple with
-    a_1 < 3, in lexicographic order, the deck entry column of every mask,
-    folded in as h <- h * P + entry mod 2^64."""
-    h = np.zeros(len(reps), dtype=np.uint64)
+def _least_in_orbit(masks, n, shifts):
+    """The masks that are the least of their n rotations, in their given
+    order, comparing each with its rotations by `shifts`; a mask is dropped
+    at its first smaller rotation.  The brute-force orbit oracle."""
+    for a in shifts:
+        masks = masks[masks <= _rotate(masks, n, a)]
+    return masks
+
+
+@functools.cache
+def _all_least(n):
+    """The least mask of every orbit, by canonicalizing all 2^n masks."""
+    return _least_in_orbit(np.arange(1 << n, dtype=np.uint32), n,
+                           range(1, n))
+
+
+def _first_tuple_of(n, k):
+    """Each sorted offset tuple's class's lexicographically first tuple, by
+    brute force: two tuples are in one translation class when the masks of
+    their point sets {0, a_1, ..., a_{k-1}} have the same least rotation."""
+    first, of = {}, {}
     for offset in itertools.combinations_with_replacement(range(n), k - 1):
-        if offset[0] < 3:
-            acc = reps
-            for a in offset:
-                acc = acc & (_rotate(reps, n, a) if a else reps)
-            h = h * determinacy._HASH_P + np.bitwise_count(acc)
+        key = min(_rotations(sum({1 << a for a in (0, *offset)}), n))
+        of[offset] = first.setdefault(key, offset)
+    return of
+
+
+def _first_tuples(n, k):
+    """The first tuple of each class, ascending."""
+    return list(dict.fromkeys(_first_tuple_of(n, k).values()))
+
+
+def _entries(reps, n, offset):
+    """The deck entry column |A & (A - a_1) & ...| of every mask A."""
+    acc = reps
+    for a in offset:
+        acc = acc & (_rotate(reps, n, a) if a else reps)
+    return np.bitwise_count(acc)
+
+
+def _hash_by_columns(reps, n, k):
+    """The stage-1 hash as a reference: the entry columns at the first
+    tuple of each class with a_1 < 3, in lexicographic order, packed eight
+    to a little-endian uint64 word (the last zero-padded) and folded in as
+    h <- h * P + word mod 2^64."""
+    cols = [_entries(reps, n, t) for t in _first_tuples(n, k) if t[0] < 3]
+    cols += [np.zeros(len(reps), dtype=np.uint8)] * (-len(cols) % 8)
+    h = np.zeros(len(reps), dtype=np.uint64)
+    for w in range(0, len(cols), 8):
+        word = np.zeros(len(reps), dtype=np.uint64)
+        for i, col in enumerate(cols[w:w + 8]):
+            word |= col.astype(np.uint64) << np.uint64(8 * i)
+        h = h * determinacy._HASH_P + word
     return h
 
 
@@ -159,10 +200,8 @@ class TestExhaustive:
 
     @pytest.mark.parametrize("n", range(17, 23))
     def test_orbit_reps_match_all_masks(self, n):
-        # the odd-mask bound against canonicalizing every mask
-        everything = _least_in_orbit(np.arange(1 << n, dtype=np.uint32),
-                                     n, range(1, n))
-        assert np.array_equal(_orbit_reps(n), everything)
+        # the generated necklaces against canonicalizing every mask
+        assert np.array_equal(_orbit_reps(n), _all_least(n))
 
     @pytest.mark.parametrize("n", [32, 33, 40, 64])
     def test_least_in_orbit_on_wide_masks(self, n):
@@ -178,12 +217,31 @@ class TestExhaustive:
 
     @pytest.mark.parametrize("chunk", [1, 3, 1 << 14])
     def test_orbit_reps_across_chunk_boundaries(self, monkeypatch, chunk):
-        # chunks of 3 candidates leave a partial last chunk at every n >= 4
-        want = [_least_in_orbit(np.arange(1 << n, dtype=np.uint32), n,
-                                range(1, n)) for n in range(1, 17)]
+        # the generator extends _CHUNK prefixes at a time: chunks of 1 and
+        # 3 split its levels into blocks at every n >= 4
         monkeypatch.setattr(determinacy, "_CHUNK", chunk)
         for n in range(1, 17):
-            assert np.array_equal(_orbit_reps(n), want[n - 1]), n
+            if chunk < 4 <= n:
+                assert len(list(determinacy._necklace_blocks(n))) > 1, n
+            assert np.array_equal(_orbit_reps(n), _all_least(n)), n
+
+    @pytest.mark.parametrize("n", range(20, 23))
+    def test_orbit_reps_in_many_blocks(self, monkeypatch, n):
+        # 2^9 prefixes at a time: the last levels split into tens of blocks
+        monkeypatch.setattr(determinacy, "_CHUNK", 1 << 9)
+        blocks = list(determinacy._necklace_blocks(n))
+        assert len(blocks) > 20
+        assert np.array_equal(np.concatenate([v for v, _ in blocks]),
+                              _all_least(n))
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_necklace_periods(self, n):
+        # q = 2^(p-1) for the least rotation period p, by brute force
+        for v, q in determinacy._necklace_blocks(n):
+            for mask, top in zip(v.tolist(), q.tolist()):
+                rot = _rotations(mask, n)
+                p = next(a for a in range(1, n + 1) if rot[a % n] == mask)
+                assert top == 1 << (p - 1), (n, mask)
 
     @pytest.mark.parametrize("n", [5, 12, 18, 33])
     def test_least_in_orbit_in_any_shift_order(self, n):
@@ -193,9 +251,35 @@ class TestExhaustive:
         rng = np.random.default_rng(n)
         masks = rng.integers(0, 1 << n, size=5000, dtype=dtype)
         kept = _least_in_orbit(masks, n, range(1, n))
+        assert kept.tolist() == [m for m in masks.tolist()
+                                 if m == min(_rotations(m, n))]
         for _ in range(3):
             shifts = rng.permutation(np.arange(1, n)).tolist()
             assert np.array_equal(_least_in_orbit(masks, n, shifts), kept)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_one_entry_per_translation_class(self, k):
+        # every sorted tuple's entry is its class's first tuple's entry, on
+        # every orbit, and _class_offsets lists exactly those first tuples
+        for n in range(1, 15):
+            reps = _orbit_reps(n)
+            of = _first_tuple_of(n, k)
+            assert determinacy._class_offsets(n, k) == tuple(
+                _first_tuples(n, k)), n
+            entry = {t: _entries(reps, n, t) for t in set(of.values())}
+            for offset, first in of.items():
+                assert np.array_equal(_entries(reps, n, offset),
+                                      entry[first]), (n, offset)
+
+    @pytest.mark.parametrize("n,k,stage1,total", [
+        (18, 3, 37, 56), (12, 4, 68, 69), (14, 2, 3, 8), (1, 3, 1, 1)])
+    def test_class_counts(self, n, k, stage1, total):
+        # of 51 and 171 sorted tuples at n = 18, k = 3, and of 199 in the
+        # first stage at n = 12, k = 4 ({0, 3, 6, 9} is the one class
+        # whose tuples all have a_1 >= 3)
+        offsets = determinacy._class_offsets(n, k)
+        assert len(offsets) == total == len(_first_tuples(n, k))
+        assert sum(t[0] < 3 for t in offsets) == stage1
 
     @pytest.mark.parametrize("n,k", [(n, k) for k in (2, 3)
                                      for n in range(1, 13)]
@@ -247,8 +331,8 @@ class TestExhaustive:
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_stage1_hash_is_the_column_fold(self, k):
-        # one AND per offset prefix folds the same entries in the same
-        # order as one column per offset tuple
+        # one entry per translation class, eight to a word, folds the same
+        # words as the brute-force columns
         for n in range(1, 15):
             reps = _orbit_reps(n)
             assert np.array_equal(determinacy._stage1_hash(reps, n, k),
